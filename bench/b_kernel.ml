@@ -30,11 +30,11 @@ let run () =
   ignore (Mad_kernel.Snapshot.of_db db) (* warm *);
   let scalar_ns =
     Bench_util.time_ns "kernel/bom-mdom-scalar" (fun () ->
-        Mad_recursive.Recursive.m_dom ~kernel:false db d)
+        Mad_recursive.Recursive.m_dom_scalar db d)
   in
   let kernel_ns =
     Bench_util.time_ns "kernel/bom-mdom-kernel" (fun () ->
-        Mad_recursive.Recursive.m_dom ~kernel:true db d)
+        Mad_recursive.Recursive.m_dom db d)
   in
   let t = Table.create [ "path"; "cost"; "speedup" ] in
   Table.add_row t [ "scalar walk"; Bench_util.pp_ns scalar_ns; "1.0x" ];
@@ -70,9 +70,9 @@ let run () =
       ( "scalar walk", "kernel/grid-mdom-scalar",
         fun () -> Mad.Derive.m_dom_scalar gdb desc );
       ( "kernel par=1", "kernel/grid-mdom-par1",
-        fun () -> Mad.Derive.m_dom ~kernel:true ~par:1 gdb desc );
+        fun () -> Mad.Derive.m_dom ~par:1 gdb desc );
       ( "kernel par=4", "kernel/grid-mdom-par4",
-        fun () -> Mad.Derive.m_dom ~kernel:true ~par:4 gdb desc );
+        fun () -> Mad.Derive.m_dom ~par:4 gdb desc );
     ]
   in
   let t = Table.create [ "path"; "cost"; "speedup" ] in

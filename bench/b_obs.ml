@@ -68,7 +68,7 @@ let run () =
     Mad_recursive.Recursive.v db ~root_type:"part" ~link:"composition" ()
   in
   ignore (Mad_kernel.Snapshot.of_db db) (* warm *);
-  let kernel_work () = Mad_recursive.Recursive.m_dom ~kernel:true db d in
+  let kernel_work () = Mad_recursive.Recursive.m_dom db d in
   (* the statement path journals a span per operator: the worst
      realistic span-to-work ratio *)
   let obs = Mad_obs.Obs.create ~tracing:false () in

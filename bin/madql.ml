@@ -1173,13 +1173,13 @@ let connect_trace_arg =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a merged client/server Chrome trace: one slice per \
-           request as the client saw it, and — against a wire v2 server \
-           — the server-reported phase breakdown (lock, exec, wal, \
-           fsync, other) nested inside each request's window.")
+           request as the client saw it, and the server-reported phase \
+           breakdown (lock, exec, wal, fsync, other) nested inside each \
+           request's window.")
 
 (* One traced request as the client observed it: the statement, its
    client-side window (ticks + duration), and the server-reported phase
-   breakdown (µs) when the connection negotiated wire v2. *)
+   breakdown (µs). *)
 type traced_req = {
   tr_name : string;
   tr_ticks : int;

@@ -19,12 +19,11 @@
       plan over a CSR snapshot of the database and evaluates it with
       bitsets, optionally chunking the roots across a domain pool.
 
-    Selection: bulk derivations ([m_dom], [derive_roots]) default to
-    the kernel unless [MAD_KERNEL] is set to [off]/[0]/[scalar]/[no]/
-    [false]; a one-shot [derive_one] uses the kernel only when a
-    snapshot is already warm at the database's current epoch (building
-    one for a single molecule would cost more than it saves).  The
-    [?kernel] argument overrides either way.
+    Selection: bulk derivations ([m_dom], [derive_roots]) always run
+    the kernel; a one-shot [derive_one] uses it only when a snapshot is
+    already warm at the database's current epoch (building one for a
+    single molecule would cost more than it saves).  The scalar walk
+    is otherwise the test oracle ([m_dom_scalar], [derive_one_scalar]).
 
     The [stats] handle counts the work done (atoms visited, links
     traversed); it is a thin shim over {!Mad_obs} counters, so the same
@@ -149,11 +148,6 @@ let m_dom_scalar ?stats db desc =
 (* ------------------------------------------------------------------ *)
 (* Kernel path                                                          *)
 
-let kernel_enabled () =
-  match Sys.getenv_opt "MAD_KERNEL" with
-  | Some ("off" | "0" | "scalar" | "no" | "false") -> false
-  | Some _ | None -> true
-
 (* lower a description to the kernel's dense plan (topo order, root
    node 0, in-edges by source node index) *)
 let compile desc =
@@ -219,7 +213,14 @@ let account_kernel stats n_roots =
     Mad_obs.Metric.incr (Mad_obs.Registry.counter reg "kernel.runs");
     Mad_obs.Metric.add (Mad_obs.Registry.counter reg "kernel.roots") n_roots
 
-let derive_roots_kernel ?(stats = stats ()) ?par db desc roots =
+(* ------------------------------------------------------------------ *)
+(* Selection                                                            *)
+
+let snapshot_warm db =
+  match Mad_kernel.Snapshot.peek db with Some _ -> true | None -> false
+
+(** Derive molecules for an explicit list of root atoms. *)
+let derive_roots ?(stats = stats ()) ?par db desc roots =
   let snap = Mad_kernel.Snapshot.of_db db in
   let order = Mdesc.topo_order desc in
   let mols, kst =
@@ -229,47 +230,27 @@ let derive_roots_kernel ?(stats = stats ()) ?par db desc roots =
   account_kernel stats (List.length roots);
   Array.to_list (Array.map (molecule_of_mol order) mols)
 
-(* ------------------------------------------------------------------ *)
-(* Selection                                                            *)
-
-let snapshot_warm db =
-  match Mad_kernel.Snapshot.peek db with Some _ -> true | None -> false
-
-(** Derive molecules for an explicit list of root atoms, kernel by
-    default. *)
-let derive_roots ?stats ?kernel ?par db desc roots =
-  let use = match kernel with Some b -> b | None -> kernel_enabled () in
-  if use then derive_roots_kernel ?stats ?par db desc roots
-  else List.map (derive_one_scalar ?stats db desc) roots
-
 (** Derive the molecule rooted at [root_atom].  One-shot: the kernel is
-    used only when already warm (or forced). *)
-let derive_one ?stats ?kernel db desc root_atom =
-  let use =
-    match kernel with
-    | Some b -> b
-    | None -> kernel_enabled () && snapshot_warm db
-  in
-  if use then
-    match derive_roots_kernel ?stats ~par:1 db desc [ root_atom ] with
+    used only when a snapshot is already warm. *)
+let derive_one ?stats db desc root_atom =
+  if snapshot_warm db then
+    match derive_roots ?stats ~par:1 db desc [ root_atom ] with
     | [ m ] -> m
     | _ -> assert false
   else derive_one_scalar ?stats db desc root_atom
 
 (** The full molecule-type occurrence: one molecule per root-type atom,
     in deterministic (id) order. *)
-let m_dom ?stats ?kernel ?par db desc =
+let m_dom ?stats ?par db desc =
   let roots =
     Database.atoms db (Mdesc.root desc) |> List.map (fun (a : Atom.t) -> a.id)
   in
-  derive_roots ?stats ?kernel ?par db desc roots
+  derive_roots ?stats ?par db desc roots
 
 (** Human-readable account of the path [m_dom] would take on this
     database right now (EXPLAIN ANALYZE reports it). *)
 let describe_path db =
-  if not (kernel_enabled ()) then "scalar (MAD_KERNEL=off)"
-  else
-    Printf.sprintf "kernel (par=%d, epoch=%d, snapshot=%s)"
-      (Mad_kernel.Pool.parallelism ())
-      (Database.epoch db)
-      (if snapshot_warm db then "warm" else "cold")
+  Printf.sprintf "kernel (par=%d, epoch=%d, snapshot=%s)"
+    (Mad_kernel.Pool.parallelism ())
+    (Database.epoch db)
+    (if snapshot_warm db then "warm" else "cold")

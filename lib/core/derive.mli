@@ -7,9 +7,10 @@
     Two equivalent implementations: the {e scalar} walk over the
     adjacency index, and the {e bitset kernel} ({!Mad_kernel}) over a
     CSR snapshot, optionally parallel across root atoms.  Bulk
-    derivations default to the kernel ([MAD_KERNEL=off] disables);
-    single-molecule derivation uses it only when a snapshot is already
-    warm.  Both produce identical molecules and identical stats. *)
+    derivations always run the kernel; single-molecule derivation uses
+    it only when a snapshot is already warm.  Both produce identical
+    molecules and identical stats; the scalar walk is the parity
+    oracle the tests check the kernel against. *)
 
 open Mad_store
 
@@ -36,14 +37,12 @@ val stats_in : Mad_obs.Registry.t -> stats
 val atoms_visited : stats -> int
 val links_traversed : stats -> int
 
-val derive_one :
-  ?stats:stats -> ?kernel:bool -> Database.t -> Mdesc.t -> Aid.t -> Molecule.t
+val derive_one : ?stats:stats -> Database.t -> Mdesc.t -> Aid.t -> Molecule.t
 (** The molecule rooted at the given root-type atom.  Kernel path only
-    when a snapshot is warm at the current epoch, or [~kernel:true]. *)
+    when a snapshot is warm at the current epoch. *)
 
 val derive_roots :
   ?stats:stats ->
-  ?kernel:bool ->
   ?par:int ->
   Database.t ->
   Mdesc.t ->
@@ -53,20 +52,16 @@ val derive_roots :
     roots across the domain pool (default {!Mad_kernel.Pool.parallelism},
     i.e. [MAD_PAR]); merge order is deterministic. *)
 
-val m_dom :
-  ?stats:stats ->
-  ?kernel:bool ->
-  ?par:int ->
-  Database.t ->
-  Mdesc.t ->
-  Molecule.t list
+val m_dom : ?stats:stats -> ?par:int -> Database.t -> Mdesc.t -> Molecule.t list
 (** One molecule per root-type atom, in identity order. *)
 
 val derive_one_scalar :
   ?stats:stats -> Database.t -> Mdesc.t -> Aid.t -> Molecule.t
-(** The scalar walk, unconditionally — parity baseline and fallback. *)
+(** The scalar walk, unconditionally — the parity oracle, and
+    {!derive_one}'s path on a cold snapshot. *)
 
 val m_dom_scalar : ?stats:stats -> Database.t -> Mdesc.t -> Molecule.t list
+(** {!m_dom} by the scalar walk — the test oracle for the kernel. *)
 
 val describe_path : Database.t -> string
 (** The path [m_dom] would take on this database right now, e.g.

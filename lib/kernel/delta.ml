@@ -2,26 +2,8 @@
 
 open Mad_store
 
-let enabled () =
-  match Sys.getenv_opt "MAD_DELTA" with
-  | Some ("off" | "0" | "no" | "false") -> false
-  | Some _ | None -> true
-
 let forced_max : int option ref = ref None
-
-let max_patches () =
-  match !forced_max with
-  | Some n -> n
-  | None -> begin
-    match Sys.getenv_opt "MAD_DELTA_MAX" with
-    | Some s -> begin
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 4096
-    end
-    | None -> 4096
-  end
-
+let max_patches () = Option.value !forced_max ~default:4096
 let set_max_patches n = forced_max := n
 
 (* One raw patch, in op order.  [Attr] is kept only so the buffer
@@ -82,7 +64,7 @@ let find_log db =
 let tracked db = find_log db <> None
 
 let track db =
-  if enabled () && not (tracked db) then begin
+  if not (tracked db) then begin
     let l = { base = Database.epoch db; buf = Queue.create () } in
     Database.add_tap db (fun epoch op -> record l epoch op);
     tracked_logs :=
@@ -100,50 +82,48 @@ type window = {
 }
 
 let window db ~from_epoch ~to_epoch =
-  if not (enabled ()) then None
-  else
-    match find_log db with
-    | None -> None
-    | Some l ->
-      if from_epoch < l.base || to_epoch < from_epoch then None
-      else begin
-        let w_links = Hashtbl.create 8 and w_atoms = Hashtbl.create 8 in
-        let count = ref 0 in
-        let schema = ref false in
-        (* last-wins compaction: Queue iterates oldest first, and
-           [Hashtbl.replace] keeps the final verdict per key *)
-        Queue.iter
-          (fun (e, p) ->
-            if e > from_epoch && e <= to_epoch then begin
-              incr count;
-              match p with
-              | P_link { lt; left; right; add } ->
-                let tbl =
-                  match Hashtbl.find_opt w_links lt with
-                  | Some t -> t
-                  | None ->
-                    let t = Hashtbl.create 16 in
-                    Hashtbl.replace w_links lt t;
-                    t
-                in
-                Hashtbl.replace tbl (left, right) add
-              | P_atom { atype; id; add } ->
-                let tbl =
-                  match Hashtbl.find_opt w_atoms atype with
-                  | Some t -> t
-                  | None ->
-                    let t = Hashtbl.create 16 in
-                    Hashtbl.replace w_atoms atype t;
-                    t
-                in
-                Hashtbl.replace tbl id add
-              | P_attr -> ()
-              | P_schema -> schema := true
-            end)
-          l.buf;
-        if !schema || !count > max_patches () then None
-        else Some { w_links; w_atoms; w_count = !count }
-      end
+  match find_log db with
+  | None -> None
+  | Some l ->
+    if from_epoch < l.base || to_epoch < from_epoch then None
+    else begin
+      let w_links = Hashtbl.create 8 and w_atoms = Hashtbl.create 8 in
+      let count = ref 0 in
+      let schema = ref false in
+      (* last-wins compaction: Queue iterates oldest first, and
+         [Hashtbl.replace] keeps the final verdict per key *)
+      Queue.iter
+        (fun (e, p) ->
+          if e > from_epoch && e <= to_epoch then begin
+            incr count;
+            match p with
+            | P_link { lt; left; right; add } ->
+              let tbl =
+                match Hashtbl.find_opt w_links lt with
+                | Some t -> t
+                | None ->
+                  let t = Hashtbl.create 16 in
+                  Hashtbl.replace w_links lt t;
+                  t
+              in
+              Hashtbl.replace tbl (left, right) add
+            | P_atom { atype; id; add } ->
+              let tbl =
+                match Hashtbl.find_opt w_atoms atype with
+                | Some t -> t
+                | None ->
+                  let t = Hashtbl.create 16 in
+                  Hashtbl.replace w_atoms atype t;
+                  t
+              in
+              Hashtbl.replace tbl id add
+            | P_attr -> ()
+            | P_schema -> schema := true
+          end)
+        l.buf;
+      if !schema || !count > max_patches () then None
+      else Some { w_links; w_atoms; w_count = !count }
+    end
 
 let touches_link w lt = Hashtbl.mem w.w_links lt
 let touches_atype w at = Hashtbl.mem w.w_atoms at

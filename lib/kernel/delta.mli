@@ -27,7 +27,8 @@
 
     Tracking is per-database and idempotent; the log lives exactly as
     long as its database (the tap closure is owned by the database).
-    [MAD_DELTA=off] disables the whole layer. *)
+    {!Snapshot.rebuild} is the from-scratch reference the delta
+    path is checked against. *)
 
 open Mad_store
 
@@ -35,11 +36,6 @@ type window
 (** Compacted patches over an epoch range (exclusive-inclusive): per
     link type the last-wins verdict per (left, right) pair, per atom
     type the last-wins verdict per identity. *)
-
-val enabled : unit -> bool
-(** False when [MAD_DELTA] is [off]/[0]/[no]/[false]: {!track} is a
-    no-op and {!window} always returns [None] (every consumer falls
-    back to its rebuild path). *)
 
 val track : Database.t -> unit
 (** Start accumulating patches for [db] (idempotent; installs one op
@@ -76,9 +72,8 @@ val patch_count : window -> int
     threshold compares against. *)
 
 val max_patches : unit -> int
-(** The patch-volume threshold: [MAD_DELTA_MAX] when set to a positive
-    integer (default 4096), overridden by {!set_max_patches}. *)
+(** The patch-volume threshold: 4096 unless {!set_max_patches}
+    forced another. *)
 
 val set_max_patches : int option -> unit
-(** Test hook: force the threshold ([None] restores the environment
-    default). *)
+(** Test hook: force the threshold ([None] restores 4096). *)

@@ -36,8 +36,6 @@ type t = {
           through the cross-session commit coordinator.  Hooks are a
           list precisely so those two do not clobber each other. *)
   mutable hook_seq : int;  (** next {!commit_handle} *)
-  mutable legacy_hook : commit_handle option;
-      (** the hook owned by the deprecated {!set_on_commit} shim *)
   mutable digest : Mad_obs.Digest.t option;
       (** Workload digest; [None] (the default) records nothing.
           {!enable_digest} creates one against the session registry. *)
@@ -48,9 +46,6 @@ type t = {
       (** source text -> (fingerprint, normalized text): normalization
           prints the whole AST, so a repeated statement must not pay it
           twice ({!run} consults this before fingerprinting) *)
-  mutable fp_mru : (string * (int * string)) option;
-      (** the last {!run} source and its fingerprint — a driver looping
-          one statement skips even the cache probe *)
   mutable refreshed_epoch : int;
       (** the database epoch the catalog was last re-derived at —
           {!refresh} consults the delta window between it and the
@@ -89,11 +84,9 @@ let create ?obs db =
     ext = None;
     commit_hooks = [];
     hook_seq = 0;
-    legacy_hook = None;
     digest = None;
     slow_guard = false;
     fp_cache = Hashtbl.create 64;
-    fp_mru = None;
     refreshed_epoch = Database.epoch db;
     last_commit_us = 0.0;
   }
@@ -118,19 +111,6 @@ let add_on_commit t f =
 
 let remove_on_commit t h =
   t.commit_hooks <- List.filter (fun (h', _) -> h' <> h) t.commit_hooks
-
-(* deprecated shim over the registration list: owns at most one hook,
-   replaced (or removed) on every call, as the old single mutable
-   [on_commit] field behaved *)
-let set_on_commit t f =
-  (match t.legacy_hook with
-   | Some h ->
-     remove_on_commit t h;
-     t.legacy_hook <- None
-   | None -> ());
-  match f with
-  | None -> ()
-  | Some f -> t.legacy_hook <- Some (add_on_commit t f)
 
 (* the commit is timed as its own operator so fsync stalls show up in
    [op.latency_us{op=mql.commit}] (with a flight-recorder exemplar)
@@ -511,22 +491,14 @@ let run t src =
   | None -> eval_stmt t stmt
   | Some _ ->
     let fp_text =
-      match t.fp_mru with
-      | Some (s, v) when s == src || String.equal s src -> v
-      | _ ->
-        let v =
-          match Hashtbl.find t.fp_cache src with
-          | v -> v
-          | exception Not_found ->
-            let v = Fingerprint.of_stmt stmt in
-            (* bounded: a literal-heavy workload keys many sources to
-               few fingerprints; reset rather than evict, it rewarms *)
-            if Hashtbl.length t.fp_cache >= 1024 then
-              Hashtbl.reset t.fp_cache;
-            Hashtbl.replace t.fp_cache src v;
-            v
-        in
-        t.fp_mru <- Some (src, v);
+      match Hashtbl.find t.fp_cache src with
+      | v -> v
+      | exception Not_found ->
+        let v = Fingerprint.of_stmt stmt in
+        (* bounded: a literal-heavy workload keys many sources to few
+           fingerprints; reset rather than evict, it rewarms *)
+        if Hashtbl.length t.fp_cache >= 1024 then Hashtbl.reset t.fp_cache;
+        Hashtbl.replace t.fp_cache src v;
         v
     in
     eval_stmt ~fp_text t stmt

@@ -33,8 +33,6 @@ type t = {
           and the network server adds its cross-session commit
           coordinator alongside it. *)
   mutable hook_seq : int;  (** internal: next {!commit_handle} *)
-  mutable legacy_hook : commit_handle option;
-      (** internal: the hook owned by the {!set_on_commit} shim *)
   mutable digest : Mad_obs.Digest.t option;
       (** Workload digest; [None] (the default) records nothing.
           {!enable_digest} creates one against the session registry. *)
@@ -44,8 +42,6 @@ type t = {
   fp_cache : (string, int * string) Hashtbl.t;
       (** source text -> (fingerprint, normalized text), so a repeated
           statement does not pay AST normalization twice *)
-  mutable fp_mru : (string * (int * string)) option;
-      (** the last {!run} source and its fingerprint *)
   mutable refreshed_epoch : int;
       (** internal: the epoch the catalog was last re-derived at —
           {!refresh} delta-gates its sweep against it *)
@@ -91,13 +87,6 @@ val take_last_commit_us : t -> float
     publication) since the last take; resets to 0.  The network server
     uses this to break a request's latency into phases — the commit
     share becomes the "wal" phase. *)
-
-val set_on_commit : t -> (unit -> unit) option -> unit
-  [@@ocaml.deprecated "use add_on_commit / remove_on_commit"]
-(** Deprecated shim over {!add_on_commit}: replaces (or, with [None],
-    removes) the single hook this setter owns, as the old
-    [session.on_commit <- ...] field assignment behaved.  Hooks
-    registered by other subsystems are untouched. *)
 
 val commit : t -> unit
 (** Run the registered commit hooks, if any ({!eval_stmt} does this

@@ -24,23 +24,25 @@ type gauge = {
           gauges are bumped from kernel worker domains *)
 }
 
-(* Histograms are fully atomic: server worker domains observe into the
-   same instrument concurrently (per-request phase timings, lock
-   profiles), so every cell is an [Atomic.t] — bucket increments are
-   [fetch_and_add], float accumulators are CAS retry loops.  A reader
-   racing writers may see a bucket total and [h_n] momentarily out of
-   step; exposition tolerates that (telemetry reads are snapshots, not
-   transactions). *)
+(* Server worker domains observe into the same histogram concurrently
+   (per-request phase timings, lock profiles), so every aggregate cell
+   is an [Atomic.t] — bucket increments are [fetch_and_add], float
+   accumulators are CAS retry loops.  A reader racing writers may see a
+   bucket total and [h_n] momentarily out of step; exposition tolerates
+   that (telemetry reads are snapshots, not transactions).  Exemplars
+   are plain arrays: each is one diagnostic pointer to a trace, and a
+   racing write may pair one observation's seq with another's value,
+   which the atomics did not prevent either. *)
 type histogram = {
   h_name : string;
   h_labels : labels;
   bounds : float array;  (** inclusive upper bounds, strictly increasing *)
   counts : int Atomic.t array;
       (** length = length bounds + 1 (overflow bucket) *)
-  ex_seq : int Atomic.t array;
+  ex_seq : int array;
       (** per-bucket exemplar: recorder seq of the last span that
           landed in the bucket, [-1] while the bucket has none *)
-  ex_val : float Atomic.t array;  (** the exemplar's observed value *)
+  ex_val : float array;  (** the exemplar's observed value (unboxed) *)
   h_sum : float Atomic.t;
   h_n : int Atomic.t;
   h_min : float Atomic.t;  (** [infinity] while empty *)
@@ -72,7 +74,9 @@ let rec add_float cell d =
 
 let add_gauge g d = add_float g.cell d
 
-let rec fold_float cell f v =
+(* typed [float]: a polymorphic [<>] below would be a C call per
+   observation *)
+let rec fold_float (cell : float Atomic.t) f (v : float) =
   let cur = Atomic.get cell in
   let next = f cur v in
   if next <> cur && not (Atomic.compare_and_set cell cur next) then
@@ -96,8 +100,8 @@ let histogram ?(labels = []) ?(bounds = default_bounds) name =
     h_labels = labels;
     bounds;
     counts = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
-    ex_seq = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make (-1));
-    ex_val = Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0.0);
+    ex_seq = Array.make (Array.length bounds + 1) (-1);
+    ex_val = Array.make (Array.length bounds + 1) 0.0;
     h_sum = Atomic.make 0.0;
     h_n = Atomic.make 0;
     h_min = Atomic.make infinity;
@@ -106,26 +110,28 @@ let histogram ?(labels = []) ?(bounds = default_bounds) name =
 
 let observe ?(exemplar = -1) h v =
   let k = Array.length h.bounds in
-  let rec bucket i = if i >= k || v <= h.bounds.(i) then i else bucket (i + 1) in
-  let i = bucket 0 in
+  let i = ref 0 in
+  while !i < k && not (v <= h.bounds.(!i)) do
+    i := !i + 1
+  done;
+  let i = !i in
   ignore (Atomic.fetch_and_add h.counts.(i) 1);
   if exemplar >= 0 then begin
-    (* value first, seq last: a racing exposition keyed on [seq >= 0]
-       never reads the value of a half-written exemplar pair (the pair
-       can mix two concurrent exemplars — diagnostic, tolerated) *)
-    Atomic.set h.ex_val.(i) v;
-    Atomic.set h.ex_seq.(i) exemplar
+    h.ex_val.(i) <- v;
+    h.ex_seq.(i) <- exemplar
   end;
   add_float h.h_sum v;
   ignore (Atomic.fetch_and_add h.h_n 1);
-  fold_float h.h_min Float.min v;
-  fold_float h.h_max Float.max v
+  (* in range (the steady state) reads both bounds and writes nothing;
+     the negated tests still send a NaN down the fold *)
+  if not (v >= Atomic.get h.h_min) then fold_float h.h_min Float.min v;
+  if not (v <= Atomic.get h.h_max) then fold_float h.h_max Float.max v
 
 let count h = Atomic.get h.h_n
 let sum h = Atomic.get h.h_sum
 let bucket_count h i = Atomic.get h.counts.(i)
-let exemplar_seq h i = Atomic.get h.ex_seq.(i)
-let exemplar_value h i = Atomic.get h.ex_val.(i)
+let exemplar_seq h i = h.ex_seq.(i)
+let exemplar_value h i = h.ex_val.(i)
 
 let min_raw h = Atomic.get h.h_min
 let max_raw h = Atomic.get h.h_max
@@ -193,8 +199,8 @@ let reset = function
   | Gauge g -> Atomic.set g.cell 0.0
   | Histogram h ->
     Array.iter (fun c -> Atomic.set c 0) h.counts;
-    Array.iter (fun c -> Atomic.set c (-1)) h.ex_seq;
-    Array.iter (fun c -> Atomic.set c 0.0) h.ex_val;
+    Array.fill h.ex_seq 0 (Array.length h.ex_seq) (-1);
+    Array.fill h.ex_val 0 (Array.length h.ex_val) 0.0;
     Atomic.set h.h_sum 0.0;
     Atomic.set h.h_n 0;
     Atomic.set h.h_min infinity;

@@ -20,19 +20,21 @@ type gauge = private {
           worker domains; read through {!get} *)
 }
 
-(** Histograms are lock-free: every cell is atomic, so server worker
-    domains observe into one shared instrument (request phases, lock
-    profiles) without a guarding mutex.  Read the aggregates through
-    the accessors below ({!count}, {!sum}, {!bucket_count}, …). *)
+(** Histograms are lock-free: every aggregate cell is atomic, so server
+    worker domains observe into one shared instrument (request phases,
+    lock profiles) without a guarding mutex.  Exemplars are
+    best-effort: a racing write may pair one observation's seq with
+    another's value.  Read the aggregates through the accessors below
+    ({!count}, {!sum}, {!bucket_count}, …). *)
 type histogram = private {
   h_name : string;
   h_labels : labels;
   bounds : float array;
   counts : int Atomic.t array;
-  ex_seq : int Atomic.t array;
+  ex_seq : int array;
       (** per-bucket exemplar: flight-recorder seq of the last span
           that landed in the bucket, [-1] while the bucket has none *)
-  ex_val : float Atomic.t array;  (** the exemplar's observed value *)
+  ex_val : float array;  (** the exemplar's observed value *)
   h_sum : float Atomic.t;
   h_n : int Atomic.t;
   h_min : float Atomic.t;  (** [infinity] while empty *)

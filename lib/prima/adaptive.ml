@@ -21,19 +21,25 @@ type drift_entry = {
   de_drift : Profile.drift;
 }
 
+(* a fingerprint is already a hash; the generic table's polymorphic
+   hash and compare would be C calls on every digest record *)
+module Fp_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash fp = fp
+end)
+
 type state = {
   mutable catalog : Stats.t option;  (** [None] until first profiled run *)
   mutable drifts : drift_entry list;  (** newest first *)
   mutable refinements : int;
   alpha : float;
   factor : float;  (** drift threshold, an off-by factor *)
-  plan_memo : (int, int * int * int) Hashtbl.t;
+  plan_memo : (int * int * int) Fp_tbl.t;
       (** fingerprint -> (refinements, epoch, plan hash): the digest's
           plan-hash cache, stale once the catalog refines or the
           database mutates *)
-  mutable plan_mru : int * int * int * int;
-      (** (fingerprint, refinements, epoch, hash) of the last lookup —
-          the steady-state hit skips even the memo probe *)
 }
 
 type Session.ext += Adaptive of state
@@ -52,7 +58,7 @@ let state ?(alpha = 0.5) ?(factor = default_factor) (session : Session.t) =
   | _ ->
     let st =
       { catalog = None; drifts = []; refinements = 0; alpha; factor;
-        plan_memo = Hashtbl.create 16; plan_mru = (-1, -1, -1, 0) }
+        plan_memo = Fp_tbl.create 16 }
     in
     session.Session.ext <- Some (Adaptive st);
     st
@@ -99,25 +105,18 @@ let plan_hash_stmt (session : Session.t) ~fp stmt =
   let db = session.Session.db in
   let epoch = Mad_store.Database.epoch db in
   (* memo first: a hit must not pay structure resolution, which is why
-     the probes happen before [query_of_stmt] *)
-  match st.plan_mru with
-  | f, r, e, h when f = fp && r = st.refinements && e = epoch -> h
-  | _ ->
+     the probe happens before [query_of_stmt] *)
+  match Fp_tbl.find st.plan_memo fp with
+  | r, e, h when r = st.refinements && e = epoch -> h
+  | _ | (exception Not_found) ->
     let h =
-      match Hashtbl.find st.plan_memo fp with
-      | (r, e, h) when r = st.refinements && e = epoch -> h
-      | _ | (exception Not_found) ->
-        let h =
-          match Profile.query_of_stmt db stmt with
-          | None -> kind_plan stmt
-          | Some q ->
-            Planner.plan_hash
-              (Stats.replan (catalog st db) (Planner.plan ~optimize:true q))
-        in
-        Hashtbl.replace st.plan_memo fp (st.refinements, epoch, h);
-        h
+      match Profile.query_of_stmt db stmt with
+      | None -> kind_plan stmt
+      | Some q ->
+        Planner.plan_hash
+          (Stats.replan (catalog st db) (Planner.plan ~optimize:true q))
     in
-    st.plan_mru <- (fp, st.refinements, epoch, h);
+    Fp_tbl.replace st.plan_memo fp (st.refinements, epoch, h);
     h
 
 (* ------------------------------------------------------------------ *)

@@ -14,18 +14,19 @@ type drift_entry = {
   de_drift : Profile.drift;
 }
 
+module Fp_tbl : Hashtbl.S with type key = int
+(** Tables keyed by statement fingerprint. *)
+
 type state = {
   mutable catalog : Stats.t option;  (** [None] until first profiled run *)
   mutable drifts : drift_entry list;  (** newest first *)
   mutable refinements : int;
   alpha : float;  (** EWMA weight of each new observation *)
   factor : float;  (** drift threshold, an off-by factor *)
-  plan_memo : (int, int * int * int) Hashtbl.t;
+  plan_memo : (int * int * int) Fp_tbl.t;
       (** fingerprint -> (refinements, epoch, plan hash): the digest's
           plan-hash cache, stale once the catalog refines or the
           database mutates *)
-  mutable plan_mru : int * int * int * int;
-      (** (fingerprint, refinements, epoch, hash) of the last lookup *)
 }
 
 type Session.ext += Adaptive of state

@@ -83,11 +83,6 @@ let v db ~root_type ~link ?(view = Sub) ?max_depth ?component () =
 
 let dir_of_view = function Sub -> `Fwd | Super -> `Bwd
 
-let kernel_enabled () =
-  match Sys.getenv_opt "MAD_KERNEL" with
-  | Some ("off" | "0" | "scalar" | "no" | "false") -> false
-  | Some _ | None -> true
-
 (* Post-order of the CSR graph (children before parents), or [None]
    when a cycle (including a self-loop) makes one impossible.
    Iterative DFS — recursion depth would track the longest chain. *)
@@ -380,23 +375,21 @@ let closure_kernel ~stats db (d : desc) root =
     in
     convert_closure ~stats d cl
 
-(** Derive the recursive molecule rooted at [root].  [~kernel] forces
-    the path; the default uses the kernel only when a snapshot is warm
-    ({!m_dom} builds one up front). *)
-(* components (if any) and the molecule record, shared by every path *)
-let finish ~stats db (d : desc) root (members, links, depth_of) =
+(* components (if any) and the molecule record, shared by every path;
+   [component] derives one member's sub-molecule *)
+let finish ~component db (d : desc) root (members, links, depth_of) =
   let components =
     match d.component with
     | None -> Aid.Map.empty
     | Some cdesc ->
       Aid.Set.fold
-        (fun member acc ->
-          Aid.Map.add member (Mad.Derive.derive_one ~stats db cdesc member) acc)
+        (fun member acc -> Aid.Map.add member (component db cdesc member) acc)
         members Aid.Map.empty
   in
   { root; members; links; depth_of; components }
 
-let derive_one ?(stats = Mad.Derive.stats ()) ?kernel db (d : desc) root =
+(* the fixpoint as a scalar walk over the store's adjacency index *)
+let closure_scalar ~stats db (d : desc) root =
   let dir = dir_of_view d.view in
   let within depth =
     match d.max_depth with None -> true | Some k -> depth <= k
@@ -428,68 +421,70 @@ let derive_one ?(stats = Mad.Derive.stats ()) ?kernel db (d : desc) root =
       in
       go (Aid.Set.union members fresh) links depth_of fresh (depth + 1)
   in
-  let use =
-    match kernel with
-    | Some b -> b
-    | None ->
-      kernel_enabled ()
-      && (match Mad_kernel.Snapshot.peek db with Some _ -> true | None -> false)
-  in
-  let members, links, depth_of =
-    if use then closure_kernel ~stats db d root
-    else begin
-      Mad_obs.Metric.incr stats.Mad.Derive.atoms_visited;
-      go (Aid.Set.singleton root) Link.Set.empty
-        (Aid.Map.singleton root 0)
-        (Aid.Set.singleton root) 1
-    end
-  in
-  finish ~stats db d root (members, links, depth_of)
+  Mad_obs.Metric.incr stats.Mad.Derive.atoms_visited;
+  go (Aid.Set.singleton root) Link.Set.empty
+    (Aid.Map.singleton root 0)
+    (Aid.Set.singleton root) 1
 
-(** One recursive molecule per atom of the root type.  The kernel path
-    runs every root's closure over one CSR snapshot with shared
-    scratch buffers ({!Mad_kernel.Kernel.closure_roots}); unbounded
-    closures over acyclic link graphs additionally share the member
-    and link sets bottom-up ({!memo_closures}). *)
-let m_dom ?(stats = Mad.Derive.stats ()) ?kernel db (d : desc) =
-  let use = match kernel with Some b -> b | None -> kernel_enabled () in
+(** Derive the recursive molecule rooted at [root]: the kernel's
+    closure when a snapshot is warm ({!m_dom} builds one up front),
+    the scalar walk otherwise. *)
+let derive_one ?(stats = Mad.Derive.stats ()) db (d : desc) root =
+  let warm =
+    match Mad_kernel.Snapshot.peek db with Some _ -> true | None -> false
+  in
+  finish ~component:(Mad.Derive.derive_one ~stats) db d root
+    (if warm then closure_kernel ~stats db d root
+     else closure_scalar ~stats db d root)
+
+(** {!m_dom} by the scalar walk alone, components included — the
+    parity oracle for the kernel paths. *)
+let m_dom_scalar ?(stats = Mad.Derive.stats ()) db (d : desc) =
+  List.map
+    (fun (a : Atom.t) ->
+      finish
+        ~component:(Mad.Derive.derive_one_scalar ~stats)
+        db d a.id
+        (closure_scalar ~stats db d a.id))
+    (Database.atoms db d.root_type)
+
+(** One recursive molecule per atom of the root type.  Every root's
+    closure runs over one CSR snapshot with shared scratch buffers
+    ({!Mad_kernel.Kernel.closure_roots}); unbounded closures over
+    acyclic link graphs additionally share the member and link sets
+    bottom-up ({!memo_closures}). *)
+let m_dom ?(stats = Mad.Derive.stats ()) db (d : desc) =
   let atoms = Database.atoms db d.root_type in
-  if not use then
-    List.map
-      (fun (a : Atom.t) -> derive_one ~stats ~kernel:false db d a.id)
-      atoms
-  else
-    let snap = Mad_kernel.Snapshot.of_db db in
-    let fwd = match d.view with Sub -> true | Super -> false in
-    let roots = Array.of_list (List.map (fun (a : Atom.t) -> a.Atom.id) atoms) in
-    let memo =
-      match d.max_depth with
-      | None -> memo_closures_cached snap db d
-      | Some _ -> None
+  let snap = Mad_kernel.Snapshot.of_db db in
+  let fwd = match d.view with Sub -> true | Super -> false in
+  let roots = Array.of_list (List.map (fun (a : Atom.t) -> a.Atom.id) atoms) in
+  let finish = finish ~component:(Mad.Derive.derive_one ~stats) db d in
+  let memo =
+    match d.max_depth with
+    | None -> memo_closures_cached snap db d
+    | Some _ -> None
+  in
+  match memo with
+  | Some (ti, members, links) ->
+    let cls =
+      Mad_kernel.Kernel.closure_roots ~with_pairs:false snap ~link:d.link
+        ~fwd ~atype:d.root_type roots
     in
-    match memo with
-    | Some (ti, members, links) ->
-      let cls =
-        Mad_kernel.Kernel.closure_roots ~with_pairs:false snap ~link:d.link
-          ~fwd ~atype:d.root_type roots
-      in
-      List.init (Array.length roots) (fun i ->
-          let cl = cls.(i) in
-          Mad_obs.Metric.add stats.Mad.Derive.atoms_visited cl.c_visited;
-          Mad_obs.Metric.add stats.Mad.Derive.links_traversed cl.c_traversed;
-          let ri = Mad_kernel.Snapshot.idx_of ti roots.(i) in
-          finish ~stats db d roots.(i)
-            (members.(ri), links.(ri), depth_map cl))
-    | None ->
-      let cls =
-        Mad_kernel.Kernel.closure_roots ?max_depth:d.max_depth snap
-          ~link:d.link ~fwd ~atype:d.root_type roots
-      in
-      List.init (Array.length roots) (fun i ->
-          finish ~stats db d roots.(i) (convert_closure ~stats d cls.(i)))
+    List.init (Array.length roots) (fun i ->
+        let cl = cls.(i) in
+        Mad_obs.Metric.add stats.Mad.Derive.atoms_visited cl.c_visited;
+        Mad_obs.Metric.add stats.Mad.Derive.links_traversed cl.c_traversed;
+        let ri = Mad_kernel.Snapshot.idx_of ti roots.(i) in
+        finish roots.(i) (members.(ri), links.(ri), depth_map cl))
+  | None ->
+    let cls =
+      Mad_kernel.Kernel.closure_roots ?max_depth:d.max_depth snap
+        ~link:d.link ~fwd ~atype:d.root_type roots
+    in
+    List.init (Array.length roots) (fun i ->
+        finish roots.(i) (convert_closure ~stats d cls.(i)))
 
-let define ?stats ?kernel db ~name (d : desc) =
-  { name; desc = d; occ = m_dom ?stats ?kernel db d }
+let define ?stats db ~name (d : desc) = { name; desc = d; occ = m_dom ?stats db d }
 
 (* ------------------------------------------------------------------ *)
 (* Restriction over recursive molecules                                 *)

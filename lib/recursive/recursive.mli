@@ -44,18 +44,19 @@ val v :
     component structure must be rooted at [root_type] and must not
     reuse the recursion link. *)
 
-val derive_one :
-  ?stats:Mad.Derive.stats -> ?kernel:bool -> Database.t -> desc -> Aid.t -> molecule
-(** The fixpoint from one root.  [~kernel] forces the path; by default
-    the kernel's BFS closure runs only on a warm snapshot. *)
+val derive_one : ?stats:Mad.Derive.stats -> Database.t -> desc -> Aid.t -> molecule
+(** The fixpoint from one root: the kernel's BFS closure when a
+    snapshot is warm, the scalar walk otherwise. *)
 
-val m_dom :
-  ?stats:Mad.Derive.stats -> ?kernel:bool -> Database.t -> desc -> molecule list
+val m_dom : ?stats:Mad.Derive.stats -> Database.t -> desc -> molecule list
 (** One molecule per root-type atom; builds the CSR snapshot once and
-    runs every closure on it (unless [MAD_KERNEL=off]). *)
+    runs every closure on it. *)
 
-val define :
-  ?stats:Mad.Derive.stats -> ?kernel:bool -> Database.t -> name:string -> desc -> t
+val define : ?stats:Mad.Derive.stats -> Database.t -> name:string -> desc -> t
+
+val m_dom_scalar : ?stats:Mad.Derive.stats -> Database.t -> desc -> molecule list
+(** {!m_dom} by the scalar walk alone, components included — the parity
+    oracle for the kernel paths. *)
 
 val molecule_satisfies : Database.t -> t -> molecule -> Mad.Qual.t -> bool
 (** Qualification over a recursive molecule; the pseudo-attribute

@@ -118,7 +118,7 @@ let reject_busy t fd =
   (try
      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25;
      ignore (Wire.read_client_hello ~keep_waiting:(fun ~started:_ -> false) fd);
-     Wire.write_server_hello fd ~version:Wire.version Wire.H_busy
+     Wire.write_server_hello fd Wire.H_busy
    with Unix.Unix_error _ -> ());
   close_quietly fd
 
@@ -296,18 +296,27 @@ let handle_request t st req =
 
 (* the request/response loop of one established connection; returns
    when the peer quits, times out, violates the protocol or the
-   server stops.  [version] is the negotiated wire version — it
-   decides the request decoding and whether phase-annotated responses
-   are available. *)
-let session_loop t st cid ~version fd =
+   server stops *)
+let session_loop t st cid fd =
   let respond req status payload =
+    (* a result the peer could not accept as one frame would kill the
+       connection: answer with a typed error instead *)
+    let status, payload =
+      let n = String.length payload in
+      if n <= t.cfg.max_frame then (status, payload)
+      else
+        ( Wire.Error,
+          Printf.sprintf "result too large: %d bytes exceeds the %d-byte frame cap"
+            n t.cfg.max_frame )
+    in
     Mad_obs.Metric.add t.c_bytes_out (Wire.resp_bytes payload);
     Mad_obs.Metric.incr
       (Mad_obs.Obs.counter
          ~labels:[ ("op", Wire.req_name req) ]
          t.obs "serve.requests");
     if status = Wire.Error then Mad_obs.Metric.incr t.c_errors;
-    Wire.write_resp fd status payload
+    Wire.write_resp fd status payload;
+    status
   in
   let rec loop () =
     if Atomic.get t.stop then Wire.write_resp fd Wire.Bye ""
@@ -332,7 +341,7 @@ let session_loop t st cid ~version fd =
         else if Atomic.get t.stop then false
         else now -. idle_from < t.cfg.idle_timeout
       in
-      match Wire.read_req ~max_len:t.cfg.max_frame ~version ~keep_waiting fd with
+      match Wire.read_req ~max_len:t.cfg.max_frame ~keep_waiting fd with
       | Wire.Closed -> ()
       | Wire.Truncated | Wire.Bad_magic ->
         (* the stream cannot be resynchronized past a framing
@@ -351,7 +360,7 @@ let session_loop t st cid ~version fd =
         (* idle expiry or stop request: a polite goodbye either way *)
         (try Wire.write_resp fd Wire.Bye "" with Unix.Unix_error _ -> ())
       | Wire.Msg (req, meta) ->
-        Mad_obs.Metric.add t.c_bytes_in (Wire.req_bytes ~version req);
+        Mad_obs.Metric.add t.c_bytes_in (Wire.req_bytes req);
         let t0 = Mad_obs.Monotonic.ticks () in
         let status, payload, eng_phases = handle_request t st req in
         let t1 = Mad_obs.Monotonic.ticks () in
@@ -364,7 +373,7 @@ let session_loop t st cid ~version fd =
         let exec_ns, exec_end = eng "exec" in
         let wal_ns, wal_end = eng "wal" in
         let fsync_ns, fsync_end = eng "fsync" in
-        (* phase-annotated response when a v2 client asked for it; the
+        (* phase-annotated response when the client asked for it; the
            "write" phase cannot describe itself, so the wire breakdown
            closes with the residual up to response assembly *)
         let payload =
@@ -382,7 +391,7 @@ let session_loop t st cid ~version fd =
               ]
           | _ -> payload
         in
-        respond req status payload;
+        let status = respond req status payload in
         let t_end = Mad_obs.Monotonic.ticks () in
         let dur_ns = t_end - t0 in
         let write_ns = t_end - t1 in
@@ -396,7 +405,7 @@ let session_loop t st cid ~version fd =
             ~label:(Wire.req_name req) ~a:cid ~b:(Wire.status_code status)
             ()
         in
-        (* the client's span seq (v2 trace propagation) links the two
+        (* the client's span seq (trace propagation) links the two
            rings: journal it so a merged trace can pair the slices *)
         (match meta with
          | Some m when m.Wire.span > 0 && seq >= 0 ->
@@ -458,11 +467,8 @@ let serve_conn t fd peer =
         && Unix.gettimeofday () -. t0 < t.cfg.read_timeout
       in
       match Wire.read_client_hello ~keep_waiting fd with
-      | Wire.Msg v when v >= Wire.min_version && v <= Wire.version ->
-        (* negotiate down to the older of the two: the hello echoes
-           the version this connection will actually speak *)
-        let version = min v Wire.version in
-        Wire.write_server_hello fd ~version Wire.H_ok;
+      | Wire.Msg v when v = Wire.version ->
+        Wire.write_server_hello fd Wire.H_ok;
         (* the connection's private session: its own observability
            context (metrics registry), digest, adaptive-catalog slot *)
         let session =
@@ -478,11 +484,10 @@ let serve_conn t fd peer =
              (Mad_mql.Session.add_on_commit session (fun () ->
                   st.appended <- Mad_durable.Durable.wal_records h))
          | None -> ());
-        session_loop t st cid ~version fd
-      | Wire.Msg v ->
+        session_loop t st cid fd
+      | Wire.Msg _ ->
         Mad_obs.Metric.incr t.c_errors;
-        ignore v;
-        Wire.write_server_hello fd ~version:Wire.version Wire.H_version
+        Wire.write_server_hello fd Wire.H_version
       | Wire.Closed | Wire.Truncated | Wire.Oversized _ | Wire.Bad_magic
       | Wire.Timeout ->
         ())

@@ -38,7 +38,10 @@ type config = {
   max_pending : int;  (** accepted connections waiting for a worker *)
   idle_timeout : float;  (** seconds between requests before the server says Bye *)
   read_timeout : float;  (** seconds a started frame may stall mid-read *)
-  max_frame : int;  (** request payload cap in bytes *)
+  max_frame : int;
+      (** payload cap in bytes, both ways: a larger request frame is
+          refused, and a larger result is answered with an [Error]
+          naming its size instead *)
 }
 
 val default_config : config

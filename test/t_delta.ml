@@ -11,7 +11,6 @@ let check_int = Alcotest.(check int)
 
 let dreg () = Mad_obs.Obs.registry (Mad_obs.Obs.default ())
 let counter name = Mad_obs.Registry.counter_value (dreg ()) name
-let delta_on () = Mad_kernel.Delta.enabled ()
 
 let same_ids a b =
   Array.length a = Array.length b
@@ -94,9 +93,8 @@ let test_bom_randomized_dml () =
     done;
     assert_snap_parity (Printf.sprintf "bom round %d" round) db
   done;
-  if delta_on () then
-    check "delta applied at least once" true
-      (counter "snapshot.delta_applied" > d0)
+  check "delta applied at least once" true
+    (counter "snapshot.delta_applied" > d0)
 
 let test_geo_grid_dml () =
   let g = Geo_grid.build ~rows:4 ~cols:4 (List.init 16 (Printf.sprintf "G%02d")) in
@@ -104,7 +102,7 @@ let test_geo_grid_dml () =
   Mad_kernel.Delta.track db;
   let desc = Geo_schema.mt_state_desc db in
   (* warm the snapshot through the kernel derivation itself *)
-  let before = Mad.Derive.m_dom ~kernel:true db desc in
+  let before = Mad.Derive.m_dom db desc in
   check_int "16 states" 16 (List.length before);
   ignore
     (Geo_grid.add_river g ~name:"R1" ~length:100
@@ -112,7 +110,7 @@ let test_geo_grid_dml () =
   ignore (Geo_grid.add_private_river g ~name:"P1" ~length:50 3);
   assert_snap_parity "geo after rivers" db;
   let scalar = Mad.Derive.m_dom_scalar db desc in
-  let kernel = Mad.Derive.m_dom ~kernel:true db desc in
+  let kernel = Mad.Derive.m_dom db desc in
   check_int "geo: cardinality" (List.length scalar) (List.length kernel);
   List.iter2
     (fun (e : Mad.Molecule.t) (a : Mad.Molecule.t) ->
@@ -139,18 +137,17 @@ let test_closure_repair_parity () =
   let d =
     Mad_recursive.Recursive.v db ~root_type:"part" ~link:"composition" ()
   in
-  let base = Mad_recursive.Recursive.m_dom ~kernel:true db d in
-  same_closures "bom warm" (Mad_recursive.Recursive.m_dom ~kernel:false db d) base;
+  let base = Mad_recursive.Recursive.m_dom db d in
+  same_closures "bom warm" (Mad_recursive.Recursive.m_dom_scalar db d) base;
   let r0 = counter "closure.repaired" in
   (* attribute-only mutation: the closure must be re-stamped, not
      recomputed *)
   let top = bom.Bom_gen.levels.(0).(0) in
   Database.set_attribute db ~atype:"part" top ~index:1 (Value.Int 4242);
   same_closures "bom restamp"
-    (Mad_recursive.Recursive.m_dom ~kernel:false db d)
-    (Mad_recursive.Recursive.m_dom ~kernel:true db d);
-  if delta_on () then
-    check "restamp counted as repair" true (counter "closure.repaired" > r0);
+    (Mad_recursive.Recursive.m_dom_scalar db d)
+    (Mad_recursive.Recursive.m_dom db d);
+  check "restamp counted as repair" true (counter "closure.repaired" > r0);
   (* structural mutation on the recursion link: partial repair *)
   let r1 = counter "closure.repaired" in
   let leaf =
@@ -164,8 +161,8 @@ let test_closure_repair_parity () =
   ignore r1;
   Database.add_link db "composition" ~left:leaf ~right:extra;
   same_closures "bom partial repair"
-    (Mad_recursive.Recursive.m_dom ~kernel:false db d)
-    (Mad_recursive.Recursive.m_dom ~kernel:true db d);
+    (Mad_recursive.Recursive.m_dom_scalar db d)
+    (Mad_recursive.Recursive.m_dom db d);
   (* where-used view repairs independently under the same window
      discipline *)
   let du =
@@ -173,8 +170,8 @@ let test_closure_repair_parity () =
       ~view:Mad_recursive.Recursive.Super ()
   in
   same_closures "bom super"
-    (Mad_recursive.Recursive.m_dom ~kernel:false db du)
-    (Mad_recursive.Recursive.m_dom ~kernel:true db du)
+    (Mad_recursive.Recursive.m_dom_scalar db du)
+    (Mad_recursive.Recursive.m_dom db du)
 
 let test_cyclic_verdict_transitions () =
   (* acyclic -> cyclic -> acyclic: the repaired memo must follow the
@@ -191,8 +188,8 @@ let test_cyclic_verdict_transitions () =
   let d = Mad_recursive.Recursive.v db ~root_type:"task" ~link:"feeds" () in
   let step what =
     same_closures what
-      (Mad_recursive.Recursive.m_dom ~kernel:false db d)
-      (Mad_recursive.Recursive.m_dom ~kernel:true db d)
+      (Mad_recursive.Recursive.m_dom_scalar db d)
+      (Mad_recursive.Recursive.m_dom db d)
   in
   step "dag";
   (* close the cycle: partial repair must discover it and store the
@@ -202,7 +199,7 @@ let test_cyclic_verdict_transitions () =
   let m_a =
     List.find
       (fun (m : Mad_recursive.Recursive.molecule) -> Aid.compare m.root a = 0)
-      (Mad_recursive.Recursive.m_dom ~kernel:true db d)
+      (Mad_recursive.Recursive.m_dom db d)
   in
   check_int "closure reaches every task" 4 (Aid.Set.cardinal m_a.members);
   (* break the cycle again: the cyclic verdict cannot be repaired, a
@@ -239,16 +236,13 @@ let test_threshold_fallback () =
       Database.add_link db "composition" ~left:l1 ~right:x;
       Database.set_attribute db ~atype:"part" x ~index:1 (Value.Int 2);
       assert_snap_parity "over threshold" db;
-      if delta_on () then begin
-        check "fallback rebuilt" true (counter "snapshot.rebuild" > r0);
-        check_int "no delta apply over threshold" d0
-          (counter "snapshot.delta_applied")
-      end;
+      check "fallback rebuilt" true (counter "snapshot.rebuild" > r0);
+      check_int "no delta apply over threshold" d0
+        (counter "snapshot.delta_applied");
       (* back under the threshold, the delta path resumes *)
       Database.set_attribute db ~atype:"part" x ~index:1 (Value.Int 3);
       assert_snap_parity "under threshold again" db;
-      if delta_on () then
-        check "delta resumed" true (counter "snapshot.delta_applied" > d0))
+      check "delta resumed" true (counter "snapshot.delta_applied" > d0))
 
 (* ------------------------------------------------------------------ *)
 
@@ -287,16 +281,13 @@ let test_refresh_gating () =
        (fun (m : Mad.Molecule.t) ->
          Aid.Set.mem b1 (Mad.Molecule.component m "b"))
        (Mad.Molecule_type.occ (get "mab")));
-  if delta_on () then
-    check "mcd untouched by disjoint mutation" true (get "mcd" == mcd0);
+  check "mcd untouched by disjoint mutation" true (get "mcd" == mcd0);
   (* attribute-only mutation: nothing structural, nothing re-derived *)
   let mab1 = get "mab" and mcd1 = get "mcd" in
   Database.set_attribute db ~atype:"a" a0 ~index:0 (Value.Int 42);
   Mad_mql.Session.refresh t;
-  if delta_on () then begin
-    check "mab survives attr-only refresh" true (get "mab" == mab1);
-    check "mcd survives attr-only refresh" true (get "mcd" == mcd1)
-  end;
+  check "mab survives attr-only refresh" true (get "mab" == mab1);
+  check "mcd survives attr-only refresh" true (get "mcd" == mcd1);
   (* refresh at an unchanged epoch is a no-op *)
   let mab2 = get "mab" in
   Mad_mql.Session.refresh t;

@@ -29,9 +29,9 @@ let parity_on what db desc =
   let s_scalar = Mad.Derive.stats () in
   let scalar = Mad.Derive.m_dom_scalar ~stats:s_scalar db desc in
   let s_k1 = Mad.Derive.stats () in
-  let k1 = Mad.Derive.m_dom ~stats:s_k1 ~kernel:true ~par:1 db desc in
+  let k1 = Mad.Derive.m_dom ~stats:s_k1 ~par:1 db desc in
   let s_k4 = Mad.Derive.stats () in
-  let k4 = Mad.Derive.m_dom ~stats:s_k4 ~kernel:true ~par:4 db desc in
+  let k4 = Mad.Derive.m_dom ~stats:s_k4 ~par:4 db desc in
   same_molecules (what ^ " par=1") scalar k1;
   same_molecules (what ^ " par=4") scalar k4;
   List.iter
@@ -104,7 +104,7 @@ let test_diamond_parity () =
   let db, desc = diamond_db () in
   parity_on "diamond" db desc;
   (* the conjunctive rule itself, through the kernel *)
-  let m = List.hd (Mad.Derive.m_dom ~kernel:true db desc) in
+  let m = List.hd (Mad.Derive.m_dom db desc) in
   check_int "z has only the both-parents atom" 1
     (Aid.Set.cardinal (Mad.Molecule.component m "z"))
 
@@ -114,24 +114,16 @@ let test_derive_one_warm_path () =
   let root = (List.hd roots).Atom.id in
   let cold = Mad.Derive.derive_one db desc root in
   (* warm a snapshot, then the default one-shot path goes kernel *)
-  ignore (Mad.Derive.m_dom ~kernel:true db desc);
+  ignore (Mad.Derive.m_dom db desc);
   let warm = Mad.Derive.derive_one db desc root in
   check "cold (scalar) = warm (kernel)" true (Mad.Molecule.equal cold warm);
-  (* with MAD_KERNEL=off the warm path stays scalar — only assert the
-     fast path when the kernel is actually enabled *)
-  let kernel_off =
-    match Sys.getenv_opt "MAD_KERNEL" with
-    | Some ("off" | "0" | "scalar" | "no" | "false") -> true
-    | _ -> false
-  in
-  if not kernel_off then
-    check "path reports warm snapshot" true
-      (let s = Mad.Derive.describe_path db in
-       String.length s >= 6 && String.sub s 0 6 = "kernel")
+  check "path reports warm snapshot" true
+    (let s = Mad.Derive.describe_path db in
+     String.length s >= 6 && String.sub s 0 6 = "kernel")
 
 let test_epoch_invalidation () =
   let db, desc = diamond_db () in
-  let k0 = Mad.Derive.m_dom ~kernel:true db desc in
+  let k0 = Mad.Derive.m_dom db desc in
   same_molecules "before mutation" (Mad.Derive.m_dom_scalar db desc) k0;
   let e0 = Database.epoch db in
   (* grow one molecule: a fresh z under both x and y of root 0 *)
@@ -144,7 +136,7 @@ let test_epoch_invalidation () =
   check "epoch moved" true (Database.epoch db > e0);
   check "stale snapshot not peekable" true
     (match Mad_kernel.Snapshot.peek db with None -> true | Some _ -> false);
-  let k1 = Mad.Derive.m_dom ~kernel:true db desc in
+  let k1 = Mad.Derive.m_dom db desc in
   same_molecules "after mutation" (Mad.Derive.m_dom_scalar db desc) k1;
   check "new atom derived" true
     (Aid.Set.mem z (Mad.Molecule.component (List.hd k1) "z"))
@@ -161,8 +153,8 @@ let test_bom_closure_parity () =
           ~view ?max_depth ()
       in
       let s_s = Mad.Derive.stats () and s_k = Mad.Derive.stats () in
-      let scalar = Mad_recursive.Recursive.m_dom ~stats:s_s ~kernel:false db d in
-      let kernel = Mad_recursive.Recursive.m_dom ~stats:s_k ~kernel:true db d in
+      let scalar = Mad_recursive.Recursive.m_dom_scalar ~stats:s_s db d in
+      let kernel = Mad_recursive.Recursive.m_dom ~stats:s_k db d in
       let what =
         Format.asprintf "bom %a depth=%a" Mad_recursive.Recursive.pp_view view
           Fmt.(option ~none:(any "inf") int)
@@ -194,7 +186,7 @@ let test_closure_memo_invalidation () =
   let d =
     Mad_recursive.Recursive.v db ~root_type:"part" ~link:"composition" ()
   in
-  ignore (Mad_recursive.Recursive.m_dom ~kernel:true db d);
+  ignore (Mad_recursive.Recursive.m_dom db d);
   let top = bom.Bom_gen.levels.(0).(0) in
   let extra =
     (Database.insert_atom db ~atype:"part"
@@ -202,8 +194,8 @@ let test_closure_memo_invalidation () =
       .Atom.id
   in
   Database.add_link db "composition" ~left:top ~right:extra;
-  let scalar = Mad_recursive.Recursive.m_dom ~kernel:false db d in
-  let kernel = Mad_recursive.Recursive.m_dom ~kernel:true db d in
+  let scalar = Mad_recursive.Recursive.m_dom_scalar db d in
+  let kernel = Mad_recursive.Recursive.m_dom db d in
   List.iter2
     (fun a b ->
       check "post-mutation molecule" true
@@ -229,8 +221,8 @@ let test_cyclic_closure_fallback () =
   Database.add_link db "feeds" ~left:c ~right:a;
   Database.add_link db "feeds" ~left:c ~right:d0;
   let d = Mad_recursive.Recursive.v db ~root_type:"task" ~link:"feeds" () in
-  let scalar = Mad_recursive.Recursive.m_dom ~kernel:false db d in
-  let kernel = Mad_recursive.Recursive.m_dom ~kernel:true db d in
+  let scalar = Mad_recursive.Recursive.m_dom_scalar db d in
+  let kernel = Mad_recursive.Recursive.m_dom db d in
   check_int "cycle: cardinality" (List.length scalar) (List.length kernel);
   List.iter2
     (fun (x : Mad_recursive.Recursive.molecule)
@@ -249,8 +241,8 @@ let test_vlsi_instantiates_closure () =
   let d =
     Mad_recursive.Recursive.v db ~root_type:"cell" ~link:"instantiates" ()
   in
-  let scalar = Mad_recursive.Recursive.m_dom ~kernel:false db d in
-  let kernel = Mad_recursive.Recursive.m_dom ~kernel:true db d in
+  let scalar = Mad_recursive.Recursive.m_dom_scalar db d in
+  let kernel = Mad_recursive.Recursive.m_dom db d in
   check_int "vlsi instantiates: cardinality" (List.length scalar)
     (List.length kernel);
   List.iter2
@@ -295,7 +287,7 @@ let test_registry_stats_parity () =
   let reg_s = Mad_obs.Registry.create () and reg_k = Mad_obs.Registry.create () in
   ignore (Mad.Derive.m_dom_scalar ~stats:(Mad.Derive.stats_in reg_s) db desc);
   ignore
-    (Mad.Derive.m_dom ~stats:(Mad.Derive.stats_in reg_k) ~kernel:true ~par:4 db
+    (Mad.Derive.m_dom ~stats:(Mad.Derive.stats_in reg_k) ~par:4 db
        desc);
   List.iter
     (fun node ->

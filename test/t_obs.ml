@@ -562,7 +562,7 @@ let test_recorder_engine_events () =
   let d =
     Mad_recursive.Recursive.v kdb ~root_type:"part" ~link:"composition" ()
   in
-  ignore (Mad_recursive.Recursive.m_dom ~kernel:true kdb d);
+  ignore (Mad_recursive.Recursive.m_dom kdb d);
   (* durable: journal + group commit, close, reopen (replay) *)
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "t_obs_recorder"

@@ -1,5 +1,5 @@
-(* The network service: wire framing round trips, handshake version
-   negotiation, admission control (typed busy), concurrent writers
+(* The network service: wire framing round trips, the handshake's
+   version check, admission control (typed busy), concurrent writers
    converging through the cross-session group-commit coordinator, and
    clean shutdown draining in-flight requests. *)
 
@@ -51,8 +51,7 @@ let test_wire_roundtrip () =
         (fun r ->
           Wire.write_req a r;
           match Wire.read_req ~keep_waiting:wait_forever b with
-          | Wire.Msg (got, None) -> check "req round trip" true (got = r)
-          | Wire.Msg (_, Some _) -> Alcotest.fail "v1 request carried metadata"
+          | Wire.Msg (got, _) -> check "req round trip" true (got = r)
           | _ -> Alcotest.fail "request did not round trip")
         reqs;
       (* responses, including an empty payload *)
@@ -69,7 +68,7 @@ let test_wire_roundtrip () =
       (match Wire.read_client_hello ~keep_waiting:wait_forever b with
        | Wire.Msg 7 -> ()
        | _ -> Alcotest.fail "client hello");
-      Wire.write_server_hello b ~version:Wire.version Wire.H_busy;
+      Wire.write_server_hello b Wire.H_busy;
       match Wire.read_server_hello ~keep_waiting:wait_forever a with
       | Wire.Msg (v, Wire.H_busy) -> check_int "server hello version" Wire.version v
       | _ -> Alcotest.fail "server hello")
@@ -83,17 +82,19 @@ let test_wire_limits () =
       Unix.close b)
     (fun () ->
       let cap = 64 * 1024 in
-      (* a payload of exactly the cap passes...  (written from a domain:
-         a socketpair buffer cannot hold 64 KiB unread) *)
-      let big = String.make cap 'q' in
+      (* a payload (metadata prefix included) of exactly the cap
+         passes...  (written from a domain: a socketpair buffer cannot
+         hold 64 KiB unread) *)
+      let text_cap = cap - Wire.meta_bytes in
+      let big = String.make text_cap 'q' in
       let w = Stdlib.Domain.spawn (fun () -> Wire.write_req a (Wire.Query big)) in
       (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Query got, _) ->
-         check_int "max-size frame" cap (String.length got)
+         check_int "max-size frame" text_cap (String.length got)
        | _ -> Alcotest.fail "max-size frame rejected");
       Stdlib.Domain.join w;
       (* ...one byte more is rejected before the payload is read *)
-      let over = String.make (cap + 1) 'q' in
+      let over = String.make (text_cap + 1) 'q' in
       let w = Stdlib.Domain.spawn (fun () -> Wire.write_req a (Wire.Query over)) in
       (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
        | Wire.Oversized n -> check_int "oversized declares its length" (cap + 1) n
@@ -133,7 +134,7 @@ let test_wire_timeout () =
       | Wire.Timeout -> ()
       | _ -> Alcotest.fail "empty socket should time out")
 
-(* --- wire v2: request metadata and phase payloads ------------------- *)
+(* --- request metadata and phase payloads ----------------------------- *)
 
 let test_wire_v2_codec () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -142,53 +143,55 @@ let test_wire_v2_codec () =
       Unix.close a;
       Unix.close b)
     (fun () ->
-      (* a v2 statement always carries the 9-byte metadata prefix *)
+      (* a statement always carries the 9-byte metadata prefix *)
       let meta = { Wire.want_phases = true; span = 42 } in
-      Wire.write_req ~version:2 ~meta a (Wire.Query "SELECT ALL FROM state;");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      Wire.write_req ~meta a (Wire.Query "SELECT ALL FROM state;");
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Query s, Some m) ->
          check_string "v2 statement text" "SELECT ALL FROM state;" s;
          check "v2 meta wants phases" true m.Wire.want_phases;
          check_int "v2 meta span" 42 m.Wire.span
        | _ -> Alcotest.fail "v2 statement did not round trip");
       (* metadata defaults to no_meta when the writer supplies none *)
-      Wire.write_req ~version:2 a (Wire.Exec "INSERT;");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      Wire.write_req a (Wire.Exec "INSERT;");
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Exec _, Some m) ->
          check "default meta is inert" false m.Wire.want_phases;
          check_int "default meta span" 0 m.Wire.span
        | _ -> Alcotest.fail "v2 default meta did not round trip");
-      (* non-statement opcodes never carry metadata, any version *)
-      Wire.write_req ~version:2 a Wire.Ping;
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      (* non-statement opcodes never carry metadata *)
+      Wire.write_req a Wire.Ping;
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Msg (Wire.Ping, None) -> ()
        | _ -> Alcotest.fail "ping must stay meta-free");
-      (* the v2 statement is meta_bytes bigger on the wire, and the
-         byte accounting knows *)
+      (* a statement is meta_bytes bigger on the wire, and the byte
+         accounting knows *)
       check_int "req_bytes counts the prefix"
-        (Wire.req_bytes (Wire.Query "x") + Wire.meta_bytes)
-        (Wire.req_bytes ~version:2 (Wire.Query "x"));
+        (Wire.header_bytes + Wire.meta_bytes + 1)
+        (Wire.req_bytes (Wire.Query "x"));
+      check_int "req_bytes of a bare opcode" Wire.header_bytes
+        (Wire.req_bytes Wire.Ping);
       (* the frame cap applies to the whole payload, prefix included *)
       let cap = 64 in
       let text = String.make (cap - Wire.meta_bytes + 1) 'q' in
       let w =
         Stdlib.Domain.spawn (fun () ->
-            Wire.write_req ~version:2 a (Wire.Query text))
+            Wire.write_req a (Wire.Query text))
       in
-      (match Wire.read_req ~version:2 ~max_len:cap ~keep_waiting:wait_forever b with
+      (match Wire.read_req ~max_len:cap ~keep_waiting:wait_forever b with
        | Wire.Oversized n -> check_int "v2 oversized includes prefix" (cap + 1) n
        | _ -> Alcotest.fail "v2 oversized frame accepted");
       Stdlib.Domain.join w;
       let buf = Bytes.create 256 in
       let rec drain n = if n > 0 then drain (n - Unix.read b buf 0 (min 256 n)) in
       drain (cap + 1);
-      (* a v2 statement payload shorter than the prefix is a protocol
+      (* a statement payload shorter than the prefix is a protocol
          violation, same as an unknown opcode *)
       let hdr = Bytes.create 5 in
       Bytes.set_int32_le hdr 0 4l;
       Bytes.set_uint8 hdr 4 1;
       Wire.write_all a (Bytes.to_string hdr ^ "abcd");
-      (match Wire.read_req ~version:2 ~keep_waiting:wait_forever b with
+      (match Wire.read_req ~keep_waiting:wait_forever b with
        | Wire.Bad_magic -> ()
        | _ -> Alcotest.fail "short v2 payload must be rejected");
       (* phase codec round trip, including the empty list *)
@@ -309,93 +312,108 @@ let test_basic_requests () =
   Client.close c;
   check_int "one connection admitted" 1 (Serve.connections srv)
 
+(* a raw handshake proposing [version]: the server's reply bytes, and
+   whether it then hung up *)
+let raw_hello srv version =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Serve.port srv));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      Wire.write_client_hello fd ~version;
+      let b = Bytes.create Wire.hello_bytes in
+      let rec fill off =
+        if off < Wire.hello_bytes then
+          match Unix.read fd b off (Wire.hello_bytes - off) with
+          | 0 -> Alcotest.fail "server closed before its hello"
+          | k -> fill (off + k)
+      in
+      fill 0;
+      let hung_up = Unix.read fd (Bytes.create 1) 0 1 = 0 in
+      (Bytes.to_string b, hung_up))
+
 let test_version_mismatch () =
   with_server (brazil ()) @@ fun srv ->
-  (match Client.connect ~version:99 ~host:"127.0.0.1" (Serve.port srv) with
-   | Error (Client.Version_mismatch v) ->
-     check_int "server states its version" Wire.version v
-   | Ok _ -> Alcotest.fail "version 99 must be rejected"
-   | Error e -> Alcotest.failf "wrong rejection: %a" Client.pp_connect_error e);
+  let reply, hung_up = raw_hello srv 99 in
+  check_string "magic" Wire.magic (String.sub reply 0 4);
+  check_int "server states its version" Wire.version (String.get_uint16_le reply 4);
+  check_int "status 1: version mismatch" 1 (String.get_uint8 reply 6);
+  check "server closes after refusing" true hung_up;
   (* the rejection did not wedge the server *)
   let c = connect_ok srv in
   check "server still serves" true (Client.ping c);
-  Client.close c
-
-(* --- version negotiation (v1 ↔ v2 interop) -------------------------- *)
-
-let test_v1_client_v2_server () =
-  with_server (brazil ()) @@ fun srv ->
-  match Client.connect ~version:1 ~host:"127.0.0.1" (Serve.port srv) with
-  | Error e -> Alcotest.failf "v1 connect: %a" Client.pp_connect_error e
-  | Ok c ->
-    check_int "negotiated down to 1" 1 (Client.version c);
-    check "v1 ping" true (Client.ping c);
-    (match Client.query c "SELECT ALL FROM state WHERE state.name = 'SP';" with
-     | Ok out ->
-       check "v1 query works on a v2 server" true (contains ~affix:"state" out)
-     | Error msg -> Alcotest.failf "v1 query: %s" msg);
-    (* phase tracing degrades gracefully on a v1 connection *)
-    (match Client.query_traced c "SELECT ALL FROM state;" with
-     | Ok (_, phases) -> check "no phases over v1" true (phases = [])
-     | Error msg -> Alcotest.failf "v1 traced query: %s" msg);
-    Client.close c
-
-(* a minimal v1-only peer: refuses a v2 hello naming version 1, then
-   accepts the downgraded retry and answers pings — what a pre-v2
-   [madql serve] does on the wire *)
-let test_v2_client_v1_server () =
+  Client.close c;
+  (* the client side: a peer refusing the hello is a typed error *)
   let lst = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lst Unix.SO_REUSEADDR true;
   Unix.bind lst (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lst 4;
+  Unix.listen lst 1;
   let port =
-    match Unix.getsockname lst with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
+    match Unix.getsockname lst with Unix.ADDR_INET (_, p) -> p | _ -> assert false
   in
-  let server =
+  let peer =
     Stdlib.Domain.spawn (fun () ->
-        let serve_one () =
-          let fd, _ = Unix.accept lst in
-          (match Wire.read_client_hello ~keep_waiting:wait_forever fd with
-           | Wire.Msg 1 ->
-             Wire.write_server_hello fd ~version:1 Wire.H_ok;
-             let rec loop () =
-               match Wire.read_req ~keep_waiting:wait_forever fd with
-               | Wire.Msg (Wire.Ping, _) ->
-                 Wire.write_resp fd Wire.Pong "";
-                 loop ()
-               | Wire.Msg (Wire.Quit, _) -> Wire.write_resp fd Wire.Bye ""
-               | _ -> ()
-             in
-             loop ()
-           | Wire.Msg _ -> Wire.write_server_hello fd ~version:1 Wire.H_version
-           | _ -> ());
-          Unix.close fd
-        in
-        serve_one ();
-        (* the refused v2 proposal... *)
-        serve_one ())
-    (* ...and the downgraded retry *)
+        let fd, _ = Unix.accept lst in
+        ignore (Wire.read_client_hello ~keep_waiting:wait_forever fd);
+        Wire.write_server_hello fd Wire.H_version;
+        Unix.close fd)
   in
   Fun.protect
     ~finally:(fun () ->
-      Stdlib.Domain.join server;
+      Stdlib.Domain.join peer;
       Unix.close lst)
     (fun () ->
       match Client.connect ~host:"127.0.0.1" port with
-      | Ok c ->
-        check_int "auto-downgraded to v1" 1 (Client.version c);
-        check "ping over the downgraded link" true (Client.ping c);
-        Client.close c
-      | Error e -> Alcotest.failf "downgrade failed: %a" Client.pp_connect_error e)
+      | Error (Client.Version_mismatch v) ->
+        check_int "client reports the peer's version" Wire.version v
+      | Ok _ -> Alcotest.fail "a refused hello must not connect"
+      | Error e -> Alcotest.failf "wrong error: %a" Client.pp_connect_error e)
+
+(* version 2 is the only version: a version-1 peer is refused at the
+   handshake, told to speak 2 *)
+let test_v1_hello_refused () =
+  with_server (brazil ()) @@ fun srv ->
+  let reply, hung_up = raw_hello srv 1 in
+  check_int "refusal names version 2" 2 (String.get_uint16_le reply 4);
+  check_int "status 1: version mismatch" 1 (String.get_uint8 reply 6);
+  check "server closes after refusing" true hung_up;
+  check "refusal counted as an error" true
+    (Mad_obs.Registry.counter_value
+       (Mad_obs.Obs.registry (Serve.obs srv))
+       "serve.errors"
+     >= 1)
+
+(* a result larger than the frame cap is a typed Error, not a frame
+   that kills the connection *)
+let test_result_too_large () =
+  let cap = 1024 in
+  let stmt = "SELECT ALL FROM state-area-edge-point;" in
+  let local = Mad_mql.Session.run_to_string (Mad_mql.Session.create (brazil ())) stmt in
+  check "the result exceeds the cap" true (String.length local > cap);
+  let config = { Serve.default_config with Serve.max_frame = cap } in
+  with_server ~config (brazil ()) @@ fun srv ->
+  let c =
+    match Client.connect ~max_frame:cap ~host:"127.0.0.1" (Serve.port srv) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "connect: %a" Client.pp_connect_error e
+  in
+  (match Client.query c stmt with
+   | Error msg ->
+     check "names the cause" true (contains ~affix:"result too large" msg);
+     check "names the cap" true
+       (contains ~affix:(Printf.sprintf "%d-byte frame cap" cap) msg)
+   | Ok _ -> Alcotest.fail "an over-cap result must be refused");
+  check "connection survives" true (Client.ping c);
+  (match Client.query c "SELECT ALL FROM state WHERE state.name = 'SP';" with
+   | Ok out -> check "small results still flow" true (contains ~affix:"state" out)
+   | Error msg -> Alcotest.failf "small query: %s" msg);
+  Client.close c
 
 (* --- request phases -------------------------------------------------- *)
 
 let test_phase_breakdown () =
   with_server (brazil ()) @@ fun srv ->
   let c = connect_ok srv in
-  check_int "negotiated v2" 2 (Client.version c);
   (match
      Client.query_traced ~span:7 c
        "SELECT ALL FROM state WHERE state.name = 'SP';"
@@ -597,10 +615,10 @@ let suite =
       test_coordinator_leader_failure;
     Alcotest.test_case "basic requests" `Quick test_basic_requests;
     Alcotest.test_case "handshake version mismatch" `Quick test_version_mismatch;
-    Alcotest.test_case "v1 client against a v2 server" `Quick
-      test_v1_client_v2_server;
-    Alcotest.test_case "v2 client auto-downgrades to a v1 server" `Quick
-      test_v2_client_v1_server;
+    Alcotest.test_case "v1 hello is refused naming 2" `Quick
+      test_v1_hello_refused;
+    Alcotest.test_case "oversized result is a typed error" `Quick
+      test_result_too_large;
     Alcotest.test_case "request phases partition latency" `Quick
       test_phase_breakdown;
     Alcotest.test_case "admission control says busy" `Quick test_admission_busy;
