@@ -6,12 +6,17 @@
    CSR rebuild per commit; with it, the snapshot is patched and the
    closure memos repaired.
 
+   One of the readers issues a restricted read (Σ), the others the
+   unrestricted one: reads are pure, so a restricted read must not
+   move the epoch or the schema, and with it defeat the delta path.
+
    Reported: the warm (read-only) read latency distribution, the read
    distribution while commits land, and the snapshot delta/rebuild
    counters over the mixed phase.  The gate: post-commit read p50 must
-   stay within 3x the warm p50 AND the delta path must actually have
-   applied (snapshot.delta_applied > 0); the harness prints
-   "mixed-delta-ok" for CI to grep. *)
+   stay within 3x the warm p50, the delta path must actually have
+   applied (snapshot.delta_applied > 0) AND no snapshot may have been
+   rebuilt (snapshot.rebuild = 0); the harness prints "mixed-delta-ok"
+   for CI to grep. *)
 
 module Table = Mad_store.Table
 open Mad_serve
@@ -29,6 +34,12 @@ let quantile sorted q =
 
 let query = "SELECT ALL FROM mt_state(state-area-edge-point);"
 
+let restricted_query =
+  "SELECT ALL FROM mt_state(state-area-edge-point) WHERE state.name = 'SP';"
+
+(* reader [i]'s statement: the first reader restricts *)
+let query_of i = if i = 0 then restricted_query else query
+
 let dreg () = Mad_obs.Obs.registry (Mad_obs.Obs.default ())
 let counter name = Mad_obs.Registry.counter_value (dreg ()) name
 
@@ -37,7 +48,7 @@ let counter name = Mad_obs.Registry.counter_value (dreg ()) name
    reads (connection + catalog-define warmup) from the stats.  Returns
    (latencies, minor words, promoted words) — GC counters are
    domain-local in OCaml 5, so each reader samples its own deltas. *)
-let reader srv ~drop ~at_least ~stop =
+let reader srv ~query ~drop ~at_least ~stop =
   let clock = !Mad_obs.Span.clock in
   let m0 = Gc.minor_words () and g0 = Gc.quick_stat () in
   let lats =
@@ -95,9 +106,10 @@ let run () =
   (* warm phase: reads only, no epoch movement *)
   let stop_now = Atomic.make true in
   let warm_lats, w_minor, w_promoted =
-    List.init readers (fun _ ->
+    List.init readers (fun i ->
         Stdlib.Domain.spawn (fun () ->
-            reader srv ~drop ~at_least:(drop + 40) ~stop:stop_now))
+            reader srv ~query:(query_of i) ~drop ~at_least:(drop + 40)
+              ~stop:stop_now))
     |> List.map Stdlib.Domain.join |> sum_gc
   in
   let w_mean, w_p50, w_p95, w_n = stats warm_lats in
@@ -107,9 +119,9 @@ let run () =
   let r0 = counter "snapshot.rebuild" in
   let stop = Atomic.make false in
   let reader_doms =
-    List.init readers (fun _ ->
+    List.init readers (fun i ->
         Stdlib.Domain.spawn (fun () ->
-            reader srv ~drop ~at_least:(drop + 20) ~stop))
+            reader srv ~query:(query_of i) ~drop ~at_least:(drop + 20) ~stop))
   in
   let writer =
     Stdlib.Domain.spawn (fun () ->
@@ -180,7 +192,7 @@ let run () =
     ();
   (* the acceptance gate: commits must not turn reads into rebuilds *)
   let within = m_p50 <= 3.0 *. w_p50 in
-  if within && applied > 0 then
+  if within && applied > 0 && rebuilt = 0 then
     Format.printf
       "mixed-delta-ok (post-commit read p50 %.0f us <= 3x warm %.0f us; %d \
        delta applies, %d rebuilds)@."

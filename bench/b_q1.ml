@@ -16,7 +16,7 @@ let run () =
   let db = Geo_brazil.db brazil in
   let session = Mad_mql.Session.create db in
   (match Mad_mql.Session.run session q1 with
-   | Mad_mql.Session.Result (Mad_mql.Translate.Molecules mt) ->
+   | Mad_mql.Session.Result (Mad_mql.Translate.Molecules mt, _) ->
      Format.printf "MOL> %s@.%d molecules (one per state)@." q1
        (Mad.Molecule_type.cardinality mt)
    | _ -> assert false);

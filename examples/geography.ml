@@ -40,7 +40,7 @@ let () =
   Format.printf "MOL>  %s@." q1;
   Format.printf "plan: %s@.@." (Mad_mql.Session.explain session q1);
   (match Mad_mql.Session.run session q1 with
-   | Mad_mql.Session.Result (Mad_mql.Translate.Molecules mt) ->
+   | Mad_mql.Session.Result (Mad_mql.Translate.Molecules mt, _) ->
      (* print the two molecules the figure shows: SP and MG *)
      List.iter
        (fun wanted ->
@@ -93,7 +93,7 @@ let () =
       Mad.Qual.(attr "point" "name" =% str "pn")
       mt
   in
-  let both = Mad.Molecule_algebra.intersect db big_states touching in
+  let both = Mad.Molecule_algebra.intersect big_states touching in
   Format.printf
     "Sigma[hectare>900]: %d, Sigma[touches pn]: %d, Psi(intersection): %d@."
     (Mad.Molecule_type.cardinality big_states)

@@ -116,15 +116,12 @@ let inherit_links db ~res_name ~operands ~provenance =
 (* One span per operator application, with input/output cardinalities
    as attributes, plus an op.latency_us histogram record — the
    operator-level accounting the observability layer is built around. *)
-(* every operator materializes its result type in the enlarged
-   database — scratch state rebuilt on demand, kept out of any journal
-   (write-ahead log) the database carries *)
-let op_span obs db op ~name ~in_count f =
+let op_span obs op ~name ~in_count f =
   Mad_obs.Obs.timed obs ("atom_algebra." ^ op)
     ~attrs:
       [ ("result", Mad_obs.Span.Str name); ("in", Mad_obs.Span.Int in_count) ]
   @@ fun sp ->
-  let r = Database.unjournaled db f in
+  let r = f () in
   Mad_obs.Span.set sp "out" (Mad_obs.Span.Int (Aid.Map.cardinal r.provenance));
   r
 
@@ -133,7 +130,7 @@ let op_span obs db op ~name ~in_count f =
     projected values, provenance collects every source atom that
     projected onto them. *)
 let project ?(obs = Mad_obs.Obs.noop) db ~name ~attrs src =
-  op_span obs db "project" ~name ~in_count:(List.length (Database.atoms db src))
+  op_span obs "project" ~name ~in_count:(List.length (Database.atoms db src))
   @@ fun () ->
   let at = Database.atom_type db src in
   let kept =
@@ -167,7 +164,7 @@ let project ?(obs = Mad_obs.Obs.noop) db ~name ~attrs src =
 
 (** σ — atom-type restriction by a qualification formula. *)
 let restrict ?(obs = Mad_obs.Obs.noop) db ~name ~pred src =
-  op_span obs db "restrict" ~name ~in_count:(List.length (Database.atoms db src))
+  op_span obs "restrict" ~name ~in_count:(List.length (Database.atoms db src))
   @@ fun () ->
   let at = Database.atom_type db src in
   Qual.typecheck ~allowed:[ src ] db pred;
@@ -194,7 +191,7 @@ let restrict ?(obs = Mad_obs.Obs.noop) db ~name ~pred src =
     qualified as [<operand>_<attr>] to restore disjointness (the
     relational rename ρ folded into ×). *)
 let product ?(obs = Mad_obs.Obs.noop) db ~name src1 src2 =
-  op_span obs db "product" ~name
+  op_span obs "product" ~name
     ~in_count:
       (List.length (Database.atoms db src1)
       + List.length (Database.atoms db src2))
@@ -240,7 +237,7 @@ let check_same_description op at1 at2 =
 (** ω — atom-type union (identical descriptions required); result
     de-duplicated by values. *)
 let union ?(obs = Mad_obs.Obs.noop) db ~name src1 src2 =
-  op_span obs db "union" ~name
+  op_span obs "union" ~name
     ~in_count:
       (List.length (Database.atoms db src1)
       + List.length (Database.atoms db src2))
@@ -272,7 +269,7 @@ let union ?(obs = Mad_obs.Obs.noop) db ~name src1 src2 =
 (** δ — atom-type difference (identical descriptions required):
     atoms of the first operand whose values do not occur in the second. *)
 let diff ?(obs = Mad_obs.Obs.noop) db ~name src1 src2 =
-  op_span obs db "diff" ~name
+  op_span obs "diff" ~name
     ~in_count:
       (List.length (Database.atoms db src1)
       + List.length (Database.atoms db src2))

@@ -6,11 +6,12 @@
     result type's registration.
 
     Theorems 2/3: every molecule-type operation yields a valid molecule
-    type over the enlarged database — checked by (a) validating the
-    propagated description with [md_graph], (b) verifying every result
-    molecule against the specification predicate [mv_graph], and (c)
-    verifying the Def. 9 bijection (re-derivation returns exactly the
-    propagated occurrence). *)
+    type over the enlarged database — checked by propagating the result
+    ({!Propagate.prop}, on the database handed in) and then (a)
+    validating the propagated description with [md_graph], (b)
+    verifying every propagated molecule against the specification
+    predicate [mv_graph], and (c) verifying the Def. 9 bijection
+    (re-derivation returns exactly the propagated occurrence). *)
 
 open Mad_store
 
@@ -59,13 +60,14 @@ let check_atom_result ?(obs = Mad_obs.Obs.noop) db (r : Atom_algebra.t) =
   Mad_obs.Span.set sp "checks" (Mad_obs.Span.Int rep.checks);
   rep
 
-(** Theorem 2/3 instance for a molecule type carrying a
-    materialization.
+(** Theorem 2/3 instance for any molecule type, α result or operator
+    result alike: propagate it into [db], then check the outcome.
 
-    The Def. 9 bijection check *re-derives the whole occurrence* — by
-    far the most expensive step of the closure machinery — so the
-    [stats] handle (and the span emitted under [obs]) make that work
-    visible instead of letting profiles under-report it. *)
+    Propagation and the Def. 9 bijection check {e re-derive the whole
+    occurrence} — by far the most expensive step of the closure
+    machinery — so the [stats] handle (and the span emitted under
+    [obs]) make that work visible instead of letting profiles
+    under-report it. *)
 let check_molecule_type ?(obs = Mad_obs.Obs.noop) ?stats db
     (mt : Molecule_type.t) =
   Mad_obs.Obs.timed obs "closure.check_molecule_type"
@@ -73,45 +75,38 @@ let check_molecule_type ?(obs = Mad_obs.Obs.noop) ?stats db
   @@ fun sp ->
   let stats = match stats with Some s -> s | None -> Derive.stats_in (Mad_obs.Obs.registry obs) in
   let a0 = Derive.atoms_visited stats and l0 = Derive.links_traversed stats in
+  let mat =
+    Propagate.prop ~stats db ~name:mt.name ~desc:mt.desc ~attr_proj:mt.attr_proj
+      mt.occ
+  in
   let rep =
-    match mt.materialized with
-    | None ->
-      (* α results are directly derivable; check mv_graph of each molecule *)
-      List.fold_left
-        (fun rep (m : Molecule.t) ->
-          add rep
-            (Printf.sprintf "%s: molecule rooted %s satisfies mv_graph" mt.name
-               (Aid.to_string m.root))
-            (Molecule.mv_graph db mt.desc m))
-        empty mt.occ
-    | Some mat ->
-      let rep =
-        add empty
-          (Printf.sprintf "%s: propagated description satisfies md_graph" mt.name)
-          (match
-             Mdesc.md_graph ~nodes:(Mdesc.nodes mat.mdesc)
-               ~edges:(Mdesc.edges mat.mdesc)
-           with
-           | Ok root -> String.equal root (Mdesc.root mat.mdesc)
-           | Error _ -> false)
-      in
-      let rep =
+    add empty
+      (Printf.sprintf "%s: propagated description satisfies md_graph" mt.name)
+      (match
+         Mdesc.md_graph ~nodes:(Mdesc.nodes mat.mdesc)
+           ~edges:(Mdesc.edges mat.mdesc)
+       with
+       | Ok root -> String.equal root (Mdesc.root mat.mdesc)
+       | Error _ -> false)
+  in
+  let rep =
+    add rep
+      (Printf.sprintf "%s: Def. 9 bijection (re-derivation)" mt.name)
+      (Propagate.exact ~stats db mat.mdesc mat.mocc)
+  in
+  let rep =
+    List.fold_left
+      (fun rep (m : Molecule.t) ->
         add rep
-          (Printf.sprintf "%s: Def. 9 bijection (re-derivation)" mt.name)
-          (Propagate.exact ~stats db mat.mdesc mat.mocc)
-      in
-      let rep =
-        List.fold_left
-          (fun rep (m : Molecule.t) ->
-            add rep
-              (Printf.sprintf "%s: propagated molecule %s satisfies mv_graph"
-                 mt.name (Aid.to_string m.root))
-              (Molecule.mv_graph db mat.mdesc m))
-          rep mat.mocc
-      in
-      add rep
-        (Printf.sprintf "%s: database integrity" mt.name)
-        (Integrity.is_valid db)
+          (Printf.sprintf "%s: propagated molecule %s satisfies mv_graph"
+             mt.name (Aid.to_string m.root))
+          (Molecule.mv_graph db mat.mdesc m))
+      rep mat.mocc
+  in
+  let rep =
+    add rep
+      (Printf.sprintf "%s: database integrity" mt.name)
+      (Integrity.is_valid db)
   in
   Mad_obs.Span.set sp "checks" (Mad_obs.Span.Int rep.checks);
   Mad_obs.Span.set sp "atoms_visited"

@@ -18,6 +18,8 @@ val check_molecule_type :
   Database.t ->
   Molecule_type.t ->
   report
-(** The Def. 9 bijection check re-derives the whole occurrence;
-    [stats] (default: counters in [obs]'s registry) accounts that
-    work so profiles stop under-reporting it. *)
+(** Propagates the molecule type into [db] ({!Propagate.prop}, which
+    enlarges it) and checks the outcome.  Propagation and the Def. 9
+    bijection check re-derive the whole occurrence; [stats] (default:
+    counters in [obs]'s registry) accounts that work so profiles stop
+    under-reporting it. *)

@@ -4,10 +4,11 @@
     cartesian product X, union Ω, difference Δ, and the derived
     intersection Ψ(mt1,mt2) = Δ(mt1, Δ(mt1,mt2)).
 
-    Every operator follows the three-stage scheme of Fig. 5:
-    operation-specific actions produce a result set over the operand's
-    types; {!Propagate.prop} materializes it in the enlarged database;
-    the result is again a molecule type (closure, Theorem 3). *)
+    Every operator performs Fig. 5's operation-specific actions and
+    returns the Def. 10 result set, an occurrence over the operand's
+    types: Σ, Π, Ω, Δ and Ψ never touch the database.  Propagation
+    ({!Propagate.prop}) runs on demand — in {!Closure.check_molecule_type},
+    and in X, whose pair root must live in the database it is handed. *)
 
 open Mad_store
 module Smap = Map.Make (String)
@@ -20,8 +21,9 @@ let gen_name prefix =
 
 (* One span per operator application; input/output are molecule
    cardinalities, and the derivation [stats] deltas (atoms visited,
-   links traversed) are attached so the cost of propagation exactness
-   checks is attributed to the operator that triggered them. *)
+   links traversed) are attached so derivation work — α's m_dom, X's
+   propagation of its operands — is attributed to the operator that
+   did it. *)
 let op_span obs stats op ~name ~in_count f =
   Mad_obs.Obs.timed obs ("molecule_algebra." ^ op)
     ~attrs:
@@ -123,17 +125,15 @@ let restrict ?(obs = Mad_obs.Obs.noop) ?stats ?par ?name db pred
   @@ fun () ->
   typecheck_qual db mt pred;
   let rsv = par_filter ?par (fun m -> molecule_satisfies db mt m pred) mt.occ in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt.desc ~attr_proj:mt.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt.attr_proj ~materialized ~name ~desc:mt.desc rsv
+  Molecule_type.v ~attr_proj:mt.attr_proj ~name ~desc:mt.desc rsv
 
 (* ------------------------------------------------------------------ *)
 (* Π — molecule-type projection                                         *)
 
 (** [keep] lists the retained nodes, each with [None] (all visible
     attributes) or [Some attrs].  The retained node set must induce a
-    coherent single-rooted sub-DAG containing the root. *)
+    coherent single-rooted sub-DAG containing the root.  Pipelined:
+    molecules are cut down to the retained structure. *)
 let project ?(obs = Mad_obs.Obs.noop) ?stats ?name db keep
     (mt : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt.name ^ "_pi")) in
@@ -181,8 +181,7 @@ let project ?(obs = Mad_obs.Obs.noop) ?stats ?name db keep
         Molecule.v ~root:m.root ~by_node ~links)
       mt.occ
   in
-  let materialized = Propagate.prop ?stats db ~name ~desc:desc' ~attr_proj rsv in
-  Molecule_type.v ~attr_proj ~materialized ~name ~desc:desc' rsv
+  Molecule_type.v ~attr_proj ~name ~desc:desc' rsv
 
 (* ------------------------------------------------------------------ *)
 (* Ω / Δ / Ψ — union, difference, intersection                          *)
@@ -192,7 +191,7 @@ let check_compatible op (a : Molecule_type.t) (b : Molecule_type.t) =
     Err.failf "%s requires identically described molecule types (%s vs %s)" op
       a.name b.name
 
-let union ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
+let union ?(obs = Mad_obs.Obs.noop) ?stats ?name (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name =
     Option.value name ~default:(gen_name (mt1.name ^ "_omega"))
@@ -206,13 +205,9 @@ let union ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
       (Molecule.Set.union (Molecule_type.molecule_set mt1)
          (Molecule_type.molecule_set mt2))
   in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt1.desc ~attr_proj:mt1.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt1.attr_proj ~materialized ~name ~desc:mt1.desc
-    rsv
+  Molecule_type.v ~attr_proj:mt1.attr_proj ~name ~desc:mt1.desc rsv
 
-let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
+let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name =
     Option.value name ~default:(gen_name (mt1.name ^ "_delta"))
@@ -226,22 +221,18 @@ let diff ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
       (Molecule.Set.diff (Molecule_type.molecule_set mt1)
          (Molecule_type.molecule_set mt2))
   in
-  let materialized =
-    Propagate.prop ?stats db ~name ~desc:mt1.desc ~attr_proj:mt1.attr_proj rsv
-  in
-  Molecule_type.v ~attr_proj:mt1.attr_proj ~materialized ~name ~desc:mt1.desc
-    rsv
+  Molecule_type.v ~attr_proj:mt1.attr_proj ~name ~desc:mt1.desc rsv
 
 (** Ψ(mt1, mt2) = Δ(mt1, Δ(mt1, mt2)) — the paper's worked example of
     operator composition under closure. *)
-let intersect ?(obs = Mad_obs.Obs.noop) ?stats ?name db mt1 mt2 =
+let intersect ?(obs = Mad_obs.Obs.noop) ?stats ?name mt1 mt2 =
   let name =
     Option.value name ~default:(gen_name (mt1.Molecule_type.name ^ "_psi"))
   in
   op_span obs stats "intersect" ~name
     ~in_count:
       (List.length mt1.Molecule_type.occ + List.length mt2.Molecule_type.occ)
-  @@ fun () -> diff ~obs ?stats ~name db mt1 (diff ~obs ?stats db mt1 mt2)
+  @@ fun () -> diff ~obs ?stats ~name mt1 (diff ~obs ?stats mt1 mt2)
 
 (* ------------------------------------------------------------------ *)
 (* X — molecule-type cartesian product                                  *)
@@ -251,17 +242,13 @@ let intersect ?(obs = Mad_obs.Obs.noop) ?stats ?name db mt1 mt2 =
     synthetic pair root (atom type [name.pair], one atom per pair, with
     link types to both operand roots) keeps the combined structure a
     single-rooted DAG, so the result is an ordinary molecule type over
-    the enlarged database. *)
+    the enlarged database — the one operator that enlarges [db]. *)
 let product ?(obs = Mad_obs.Obs.noop) ?stats ?name db (mt1 : Molecule_type.t)
     (mt2 : Molecule_type.t) =
   let name = Option.value name ~default:(gen_name (mt1.name ^ "_x")) in
   op_span obs stats "product" ~name
     ~in_count:(List.length mt1.occ + List.length mt2.occ)
   @@ fun () ->
-  (* the synthetic pair root and its link types are enlarged-database
-     scratch, like everything [Propagate.prop] builds: keep them out of
-     any journal the database carries *)
-  Database.unjournaled db @@ fun () ->
   let p1 =
     Propagate.prop ?stats db ~name:(name ^ ".1") ~desc:mt1.desc
       ~attr_proj:mt1.attr_proj mt1.occ

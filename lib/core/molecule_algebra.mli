@@ -1,8 +1,8 @@
 (** The molecule algebra (Defs. 8 and 10, Theorems 2-3): definition α,
     restriction Σ, projection Π, product X, union Ω, difference Δ and
     the derived intersection Ψ(a,b) = Δ(a, Δ(a,b)).  Every operator
-    follows Fig. 5's scheme: operation-specific actions, propagation
-    ({!Propagate.prop}), molecule-type definition. *)
+    returns the Def. 10 result set over its operands' types; only X
+    enlarges the database, propagation runs on demand. *)
 
 open Mad_store
 
@@ -13,8 +13,7 @@ val gen_name : string -> string
     (default: the shared no-op) and emits one span per application,
     named [molecule_algebra.<op>], carrying the result-type name,
     input/output molecule cardinalities and — when [stats] is given —
-    the derivation-work deltas attributable to the operator (including
-    the propagation exactness re-derivation). *)
+    the derivation-work deltas attributable to the operator. *)
 
 val define :
   ?obs:Mad_obs.Obs.t ->
@@ -66,13 +65,12 @@ val project :
   Molecule_type.t
 (** Π — retained nodes (with [None] = all visible attributes or
     [Some attrs]); the retained set must induce a coherent
-    single-rooted sub-DAG containing the root. *)
+    single-rooted sub-DAG containing the root.  Pipelined. *)
 
 val union :
   ?obs:Mad_obs.Obs.t ->
   ?stats:Derive.stats ->
   ?name:string ->
-  Database.t ->
   Molecule_type.t ->
   Molecule_type.t ->
   Molecule_type.t
@@ -82,7 +80,6 @@ val diff :
   ?obs:Mad_obs.Obs.t ->
   ?stats:Derive.stats ->
   ?name:string ->
-  Database.t ->
   Molecule_type.t ->
   Molecule_type.t ->
   Molecule_type.t
@@ -92,7 +89,6 @@ val intersect :
   ?obs:Mad_obs.Obs.t ->
   ?stats:Derive.stats ->
   ?name:string ->
-  Database.t ->
   Molecule_type.t ->
   Molecule_type.t ->
   Molecule_type.t
@@ -106,5 +102,6 @@ val product :
   Molecule_type.t ->
   Molecule_type.t ->
   Molecule_type.t
-(** X — operands are propagated onto fresh types; a synthetic pair root
-    keeps the combined structure single-rooted. *)
+(** X — operands are propagated onto fresh types of [db] (enlarging
+    it); a synthetic pair root keeps the combined structure
+    single-rooted. *)

@@ -18,10 +18,22 @@
     implementation therefore *checks* exactness after shared
     propagation and falls back to per-molecule copies ([`Copied]),
     which makes the bijection unconditional.  The check doubles as a
-    machine-verified instance of Theorem 2/3. *)
+    machine-verified instance of Theorem 2/3.
+
+    Propagation runs on demand, never as a side effect of a read: only
+    {!Closure.check_molecule_type} and the product X call [prop]. *)
 
 open Mad_store
 module Smap = Map.Make (String)
+
+type t = {
+  mdesc : Mdesc.t;
+  node_map : string Smap.t;
+  link_map : string Smap.t;
+  atom_map : Aid.t Aid.Map.t;
+  mocc : Molecule.t list;
+  strategy : [ `Shared | `Copied ];
+}
 
 let fresh_name db base =
   let rec go k =
@@ -212,14 +224,9 @@ let cleanup db node_map link_map =
 
 (** The propagation function of Def. 9.  [strategy] defaults to
     [`Auto]: try shared propagation, verify exactness, fall back to
-    per-molecule copies if the bijection fails.
-
-    Everything materialized here is the {e enlarged database} — scratch
-    result types a query rebuilds on demand — so the whole propagation
-    runs with the journal detached: derived types never reach a
-    write-ahead log. *)
+    per-molecule copies if the bijection fails.  Enlarges [db] itself:
+    a caller that must keep its database hands in a copy. *)
 let prop ?stats ?(strategy = `Auto) db ~name ~desc ~attr_proj occ =
-  Database.unjournaled db @@ fun () ->
   let shared () = propagate_shared db ~name ~desc ~attr_proj occ in
   let copied () = propagate_copied db ~name ~desc ~attr_proj occ in
   let node_map, link_map, atom_map, mdesc, mocc, used =
@@ -239,11 +246,4 @@ let prop ?stats ?(strategy = `Auto) db ~name ~desc ~attr_proj occ =
         (n, l, a, d, o, `Copied)
       end
   in
-  {
-    Molecule_type.mdesc;
-    node_map;
-    link_map;
-    atom_map;
-    mocc;
-    strategy = used;
-  }
+  { mdesc; node_map; link_map; atom_map; mocc; strategy = used }

@@ -6,11 +6,26 @@
 
     Exactness (the Def. 9 bijection) is verified after shared
     propagation; on failure (molecule projection can provoke it on
-    diamonds) the per-molecule-copies fallback guarantees it. *)
+    diamonds) the per-molecule-copies fallback guarantees it.
+    Propagation runs on demand ({!Closure.check_molecule_type}, the
+    product X) and enlarges the database it is handed. *)
 
 open Mad_store
 module Smap :
   Map.S with type key = string and type 'a t = 'a Map.Make(String).t
+
+type t = {
+  mdesc : Mdesc.t;  (** description over the propagated types *)
+  node_map : string Smap.t;  (** source node -> propagated atom type *)
+  link_map : string Smap.t;  (** source link -> propagated link type *)
+  atom_map : Aid.t Aid.Map.t;  (** source atom -> propagated copy *)
+  mocc : Molecule.t list;  (** occurrence over the propagated types *)
+  strategy : [ `Shared | `Copied ];
+      (** [`Shared]: one copy per distinct source atom (sharing
+          preserved); [`Copied]: per-molecule copies (the unconditional
+          Def. 9 fallback) *)
+}
+(** The outcome of propagation — what Theorems 2-3 quantify over. *)
 
 val fresh_name : Database.t -> string -> string
 (** An atom-/link-type name not yet used in the database. *)
@@ -23,7 +38,7 @@ val prop :
   desc:Mdesc.t ->
   attr_proj:string list Smap.t ->
   Molecule.t list ->
-  Molecule_type.materialization
+  t
 (** The propagation function.  [`Auto] (default) tries shared
     propagation, checks exactness and falls back to copies.  [stats]
     accounts the exactness re-derivation. *)

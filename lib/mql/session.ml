@@ -7,7 +7,9 @@ open Mad_store
 
 type outcome =
   | Defined of Mad.Molecule_type.t
-  | Result of Translate.result
+  | Result of Translate.result * Database.t
+      (** the result and the database to render it against (a
+          statement with X ran in its own copy) *)
   | Inserted of Atom.t
   | Dml of string  (** summary of a manipulation statement's effect *)
   | Explained of string  (** EXPLAIN / EXPLAIN ANALYZE report *)
@@ -296,7 +298,19 @@ let rec eval_stmt_inner t (stmt : Ast.stmt) : outcome =
   | Ast.Query q ->
     let q = hoist_definitions t q in
     let plan = Translate.compile t.db (lookup t) q in
-    Result (Translate.run ~obs:t.obs ~stats:t.stats t.db (lookup t) plan)
+    let run db =
+      Result (Translate.run ~obs:t.obs ~stats:t.stats db (lookup t) plan, db)
+    in
+    if not (Translate.has_product plan) then run t.db
+    else begin
+      (* X enlarges the database it runs in: the statement gets a private
+         copy (Def. 9's DB* ), which is never delta-tracked and leaves
+         the kernel's snapshot cache with the statement *)
+      let db = Database.copy t.db in
+      Fun.protect
+        ~finally:(fun () -> Mad_kernel.Snapshot.invalidate db)
+        (fun () -> run db)
+    end
   | Ast.Explain { analyze = false; stmt } -> Explained (explain_stmt t stmt)
   | Ast.Explain { analyze = true; stmt } -> begin
     match !analyze_hook with
@@ -312,13 +326,13 @@ let rec eval_stmt_inner t (stmt : Ast.stmt) : outcome =
       let ms = (!Mad_obs.Span.clock () -. t0) *. 1000. in
       let molecules =
         match outcome with
-        | Result (Translate.Molecules mt) ->
+        | Result (Translate.Molecules mt, _) ->
           Printf.sprintf "%d molecule(s), "
             (List.length (Mad.Molecule_type.occ mt))
         | Defined mt ->
           Printf.sprintf "%d molecule(s), "
             (List.length (Mad.Molecule_type.occ mt))
-        | Result (Translate.Recursive _ | Translate.Cycles _)
+        | Result ((Translate.Recursive _ | Translate.Cycles _), _)
         | Inserted _ | Dml _ | Explained _ ->
           ""
       in
@@ -376,11 +390,11 @@ let rec eval_stmt_inner t (stmt : Ast.stmt) : outcome =
 (* Workload digest & slow-query log                                     *)
 
 let rows_of = function
-  | Defined mt | Result (Translate.Molecules mt) ->
+  | Defined mt | Result (Translate.Molecules mt, _) ->
     List.length (Mad.Molecule_type.occ mt)
-  | Result (Translate.Recursive r) ->
+  | Result (Translate.Recursive r, _) ->
     List.length r.Mad_recursive.Recursive.occ
-  | Result (Translate.Cycles c) ->
+  | Result (Translate.Cycles c, _) ->
     List.length c.Mad_recursive.Recursive.cocc
   | Inserted _ -> 1
   | Dml _ | Explained _ -> 0
@@ -508,12 +522,12 @@ let run_to_string t src =
   match run t src with
   | Defined mt ->
     Format.asprintf "defined %a" Mad.Molecule_type.pp_summary mt
-  | Result (Translate.Molecules mt) ->
-    Format.asprintf "%a" (fun ppf () -> Mad.Render.pp_molecule_type t.db ppf mt) ()
-  | Result (Translate.Recursive r) ->
-    Format.asprintf "%a" Mad_recursive.Recursive.pp (t.db, r)
-  | Result (Translate.Cycles c) ->
-    Format.asprintf "%a" Mad_recursive.Recursive.pp_cycle (t.db, c)
+  | Result (Translate.Molecules mt, db) ->
+    Format.asprintf "%a" (fun ppf () -> Mad.Render.pp_molecule_type db ppf mt) ()
+  | Result (Translate.Recursive r, db) ->
+    Format.asprintf "%a" Mad_recursive.Recursive.pp (db, r)
+  | Result (Translate.Cycles c, db) ->
+    Format.asprintf "%a" Mad_recursive.Recursive.pp_cycle (db, c)
   | Inserted atom ->
     Format.asprintf "inserted %a as @%d" Fmt.string atom.Atom.atype
       atom.Atom.id

@@ -6,7 +6,9 @@ open Mad_store
 
 type outcome =
   | Defined of Mad.Molecule_type.t
-  | Result of Translate.result
+  | Result of Translate.result * Database.t
+      (** a query's result and the database to render it against: the
+          session's own, or the private copy a statement with X ran in *)
   | Inserted of Atom.t
   | Dml of string  (** summary of a manipulation statement's effect *)
   | Explained of string  (** EXPLAIN / EXPLAIN ANALYZE report *)

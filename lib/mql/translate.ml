@@ -134,6 +134,14 @@ and wrap select where plan =
   | Ast.All -> plan
   | Ast.Items items -> P_project (items, plan)
 
+(* X is the one operator that enlarges the database it runs in *)
+let rec has_product = function
+  | P_product _ -> true
+  | P_define _ | P_ref _ | P_recursive _ | P_cycle _ -> false
+  | P_restrict (_, p) | P_project (_, p) -> has_product p
+  | P_union (a, b) | P_diff (a, b) | P_intersect (a, b) ->
+    has_product a || has_product b
+
 (** Execute a plan.  [stats] feeds the PRIMA access counters; [obs]
     gives every algebra operator its span.  The set operators dispatch
     on the operand kind: two molecule types go through Ω/Δ/Ψ, two
@@ -167,15 +175,15 @@ let rec run ?(obs = Mad_obs.Obs.noop) ?stats db env plan : result =
     Molecules (Mad.Molecule_algebra.project ~obs ?stats db items (molecule p))
   | P_union (a, b) ->
     setop a b
-      ~mol:(fun x y -> Mad.Molecule_algebra.union ~obs ?stats db x y)
+      ~mol:(Mad.Molecule_algebra.union ~obs ?stats)
       ~rec_:(fun x y -> R.union ~name:(fresh_query_name ()) x y)
   | P_diff (a, b) ->
     setop a b
-      ~mol:(fun x y -> Mad.Molecule_algebra.diff ~obs ?stats db x y)
+      ~mol:(Mad.Molecule_algebra.diff ~obs ?stats)
       ~rec_:(fun x y -> R.diff ~name:(fresh_query_name ()) x y)
   | P_intersect (a, b) ->
     setop a b
-      ~mol:(fun x y -> Mad.Molecule_algebra.intersect ~obs ?stats db x y)
+      ~mol:(Mad.Molecule_algebra.intersect ~obs ?stats)
       ~rec_:(fun x y -> R.intersect ~name:(fresh_query_name ()) x y)
   | P_product (a, b) ->
     Molecules

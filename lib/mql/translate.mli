@@ -31,6 +31,11 @@ val pp_plan : Format.formatter -> plan -> unit
 val compile :
   Database.t -> (string -> Mad.Molecule_type.t option) -> Ast.qexpr -> plan
 
+val has_product : plan -> bool
+(** Does the plan contain X, the one operator that enlarges the
+    database it runs in?  A statement with such a plan runs against a
+    {!Database.copy} (Def. 9's DB{^ *}), never the shared database. *)
+
 val run :
   ?obs:Mad_obs.Obs.t ->
   ?stats:Mad.Derive.stats ->
@@ -39,4 +44,5 @@ val run :
   plan ->
   result
 (** [obs] gives every executed algebra operator its span; [stats]
-    accounts the derivation work. *)
+    accounts the derivation work.  Reads [db] only, unless the plan
+    {!has_product}. *)

@@ -1,9 +1,10 @@
 (** The database: a set of atom types plus a set of link types (Def. 3),
     whose occurrences form the atom networks.
 
-    The store is mutable (operations of both algebras *enlarge* the
-    database, cf. Def. 9 and Theorem 1) and maintains, per link type, a
-    bidirectional adjacency index.  That index is the operational
+    The store is mutable (the atom-type operations and propagation
+    *enlarge* the database they are handed, cf. Def. 9 and Theorem 1;
+    reads never do) and maintains, per link type, a bidirectional
+    adjacency index.  That index is the operational
     realisation of the paper's symmetric link concept: traversing a link
     type from either end costs the same, which is what makes the same
     atom networks usable for totally different molecule types (Fig. 2). *)
@@ -57,11 +58,10 @@ type t = {
           ones); installed by the durability engine, [None] otherwise. *)
   mutable taps : (int -> op -> unit) list;
       (** Observers of the op stream, called with the post-bump epoch.
-          Unlike the journal, taps also see the sub-ops of a cascade
-          and the enlarged-database scratch mutations ([unjournaled]
-          does not detach them): they exist for delta maintenance of
-          derived structures, which must account for {e every} epoch
-          movement or fall back to a rebuild. *)
+          Unlike the journal, taps also see the sub-ops of a delete
+          cascade: they exist for delta maintenance of derived
+          structures, which must account for {e every} epoch movement
+          or fall back to a rebuild. *)
   mutable epoch : int;
       (** Monotonic mutation epoch: bumped once per successful logical
           op (cascade sub-ops included).  Derived read-only structures
@@ -81,8 +81,8 @@ let epoch db = db.epoch
 
 (* every successful mutation flows through here (rejected ones raise
    before), so the epoch bump, the taps and the journal share one
-   choke point; the epoch also moves for unjournaled sub-mutations,
-   which is what snapshot invalidation needs.  Taps run before the
+   choke point; the epoch also moves for a cascade's unjournaled
+   sub-mutations, which is what snapshot invalidation needs.  Taps run before the
    journal: the store mutation has already happened, and a journal
    that raises (fault injection) must not leave the taps blind to an
    epoch that did move. *)
@@ -95,9 +95,9 @@ let emit db op =
      List.iter (fun f -> f e op) taps);
   match db.journal with None -> () | Some j -> j op
 
-(* run [f] with journaling off: used when one logical op performs
-   sub-mutations (the delete cascade) that must not be double-logged *)
-let unjournaled db f =
+(* run [f] with journaling off: the delete cascade is one logical op,
+   its sub-removals must not be double-logged *)
+let without_journal db f =
   let j = db.journal in
   db.journal <- None;
   Fun.protect ~finally:(fun () -> db.journal <- j) f
@@ -411,7 +411,7 @@ let delete_atom db id =
   | Some a ->
     (* the cascade is one logical op: sub-removals are not journaled,
        replaying [Op_delete_atom] re-runs the cascade *)
-    unjournaled db (fun () ->
+    without_journal db (fun () ->
         List.iter
           (fun (lt : Schema.Link_type.t) ->
             let st = link_store db lt.name in

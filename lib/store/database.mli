@@ -1,10 +1,13 @@
 (** The database: a set of atom types plus a set of link types whose
     occurrences form the atom networks (Def. 3).
 
-    Mutable — operations of both algebras {e enlarge} the database
-    (Def. 9, Theorem 1) — and indexed: every link type maintains a
-    bidirectional adjacency index, the operational realisation of the
-    paper's symmetric link concept.
+    Mutable — the atom-type operations and propagation {e enlarge} the
+    database they are handed (Def. 9, Theorem 1) — and indexed: every
+    link type maintains a bidirectional adjacency index, the
+    operational realisation of the paper's symmetric link concept.
+    Reads never enlarge a shared database (a MOL statement with X runs
+    in its own {!copy}), so a journal sees every mutation but a
+    cascade's sub-ops.
 
     The representation is exposed (the failure-injection tests corrupt
     it deliberately); normal clients use the functions only. *)
@@ -79,19 +82,12 @@ val set_journal : t -> (op -> unit) option -> unit
 val add_tap : t -> (int -> op -> unit) -> unit
 (** Register an op-stream observer, called as [f epoch op] after every
     successful mutation with the epoch that mutation produced — {e
-    including} cascade sub-ops and {!unjournaled} scratch mutations,
-    which the journal never sees.  Taps run before the journal hook
-    and cannot be removed (they live as long as the database); they
-    exist for delta maintenance of derived structures
-    ([Mad_kernel.Delta]), which must observe every epoch movement or
-    fall back to a rebuild.  A tap must not mutate the database. *)
-
-val unjournaled : t -> (unit -> 'a) -> 'a
-(** Run [f] with the journal hook detached (restored on exit, even on
-    raise).  The algebra layers use this for the {e enlarged database}:
-    derived result types and their propagated occurrences are scratch
-    state that queries rebuild on demand, so they must not reach a
-    write-ahead log. *)
+    including} the sub-ops of a delete cascade, which the journal never
+    sees.  Taps run before the journal hook and cannot be removed (they
+    live as long as the database); they exist for delta maintenance of
+    derived structures ([Mad_kernel.Delta]), which must observe every
+    epoch movement or fall back to a rebuild.  A tap must not mutate
+    the database. *)
 
 (** {1 Schema} *)
 
@@ -200,6 +196,7 @@ val total_atoms : t -> int
 val total_links : t -> int
 
 val copy : t -> t
-(** Deep copy (atoms are immutable and shared). *)
+(** Deep copy (atoms are immutable and shared), same identities; no
+    journal, no taps, epoch 0 — a private database. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -42,6 +42,12 @@ let diamond_db () =
   Database.add_link db "yz" ~left:y ~right:z2;
   (db, r1, r2, z1, z2)
 
+(* the propagation stage, run explicitly: the operators return result
+   sets and leave the database alone *)
+let prop db (mt : MT.t) =
+  Mad.Propagate.prop db ~name:mt.MT.name ~desc:mt.MT.desc
+    ~attr_proj:mt.MT.attr_proj mt.MT.occ
+
 let desc_of db =
   Mad.Mdesc.v db ~nodes:[ "r"; "x"; "y"; "z" ]
     ~edges:[ ("rx", "r", "x"); ("ry", "r", "y"); ("xz", "x", "z"); ("yz", "y", "z") ]
@@ -58,12 +64,11 @@ let test_projection_triggers_copy_fallback () =
   check "m1 lacks z2" false (Aid.Set.mem z2 (Mad.Molecule.component m1 "z"));
   (* project away x: the diamond constraint disappears *)
   let proj = MA.project db [ ("r", None); ("y", None); ("z", None) ] mt in
-  (match proj.MT.materialized with
-   | None -> Alcotest.fail "projection must propagate"
-   | Some m ->
-     check "fallback to per-molecule copies" true (m.MT.strategy = `Copied);
-     check "still exact (Def. 9)" true
-       (Mad.Propagate.exact db m.MT.mdesc m.MT.mocc));
+  let m = prop db proj in
+  check "fallback to per-molecule copies" true
+    (m.Mad.Propagate.strategy = `Copied);
+  check "still exact (Def. 9)" true
+    (Mad.Propagate.exact db m.Mad.Propagate.mdesc m.Mad.Propagate.mocc);
   (* the projected occurrence itself is unchanged in content *)
   check_int "still two molecules" 2 (MT.cardinality proj);
   let p1 =
@@ -80,9 +85,8 @@ let test_sigma_stays_shared_on_diamond () =
   let db, _, _, _, _ = diamond_db () in
   let mt = MA.define db ~name:"dia2" (desc_of db) in
   let s = MA.restrict db Mad.Qual.(attr "r" "v" =% int 1) mt in
-  match s.MT.materialized with
-  | Some m -> check "shared suffices for Sigma" true (m.MT.strategy = `Shared)
-  | None -> Alcotest.fail "expected materialization"
+  check "shared suffices for Sigma" true
+    ((prop db s).Mad.Propagate.strategy = `Shared)
 
 let test_product_result_is_derivable () =
   (* X output is an ordinary molecule type: define over the enlarged
@@ -96,20 +100,20 @@ let test_product_result_is_derivable () =
     (Mad.Molecule.Set.equal (MT.molecule_set x) (MT.molecule_set re))
 
 let test_operator_chain_over_propagated_types () =
-  (* keep operating on materialized results: Σ over the propagated type
+  (* keep operating on propagated results: Σ over the propagated type
      of a previous Σ, three levels deep *)
   let b = Workloads.Geo_brazil.build () in
   let db = Workloads.Geo_brazil.db b in
   let mt = MA.define db ~name:"c0" (Workloads.Geo_brazil.mt_state_desc b) in
   let s1 = MA.restrict db Mad.Qual.(attr "state" "hectare" >=% int 400) mt in
-  let m1 = Option.get s1.MT.materialized in
-  let mt1 = MA.define db ~name:"c1" m1.MT.mdesc in
+  let m1 = prop db s1 in
+  let mt1 = MA.define db ~name:"c1" m1.Mad.Propagate.mdesc in
   check_int "as many molecules as s1" (MT.cardinality s1) (MT.cardinality mt1);
   (* the propagated root type name differs; restrict on it *)
-  let root1 = Mad.Mdesc.root m1.MT.mdesc in
+  let root1 = Mad.Mdesc.root m1.Mad.Propagate.mdesc in
   let s2 = MA.restrict db Mad.Qual.(attr root1 "hectare" >=% int 900) mt1 in
-  let m2 = Option.get s2.MT.materialized in
-  let mt2 = MA.define db ~name:"c2" m2.MT.mdesc in
+  let m2 = prop db s2 in
+  let mt2 = MA.define db ~name:"c2" m2.Mad.Propagate.mdesc in
   check_int "four states at >=900" 4 (MT.cardinality mt2);
   check "integrity after three levels" true (Integrity.is_valid db)
 

@@ -290,7 +290,7 @@ let test_slow_log_does_not_replay_dml () =
     (fun () ->
       let count () =
         match Session.run s "SELECT ALL FROM state;" with
-        | Session.Result (Mad_mql.Translate.Molecules mt) ->
+        | Session.Result (Mad_mql.Translate.Molecules mt, _) ->
           List.length (Mad.Molecule_type.occ mt)
         | _ -> Alcotest.fail "expected molecules"
       in

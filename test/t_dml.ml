@@ -149,7 +149,7 @@ let test_mql_delete_refreshes_catalog () =
   ignore (S.run s "SELECT ALL FROM mts(state-area-edge-point);");
   ignore (S.run s "DELETE FROM mts WHERE state.name = 'SP';");
   match S.run s "SELECT ALL FROM mts;" with
-  | S.Result (Mad_mql.Translate.Molecules mt) ->
+  | S.Result (Mad_mql.Translate.Molecules mt, _) ->
     check_int "catalog refreshed" 9 (Mad.Molecule_type.cardinality mt)
   | _ -> Alcotest.fail "expected molecules"
 
@@ -220,7 +220,7 @@ let test_aggregates_via_mql () =
       "SELECT ALL FROM mts(state-area-edge-point) WHERE SUM(edge.length) = \
        4 AND MAX(point.x) = 2;"
   with
-  | S.Result (Mad_mql.Translate.Molecules mt) ->
+  | S.Result (Mad_mql.Translate.Molecules mt, _) ->
     check_int "east column via MOL" 5 (Mad.Molecule_type.cardinality mt)
   | _ -> Alcotest.fail "expected molecules"
 

@@ -317,9 +317,9 @@ let test_recovery_errors_name_files () =
 
 (* --- queries never journal ------------------------------------------- *)
 
-(* Query evaluation enlarges the database with derived result types
-   (Propagate.prop, the atom algebra, molecule products).  All of that
-   is scratch state rebuilt on demand — none of it may reach the WAL. *)
+(* Query evaluation never writes to the session's database — the
+   operators return result sets, and a statement with X runs in its own
+   copy — so nothing a query does can reach the WAL. *)
 let test_queries_do_not_journal () =
   in_tmp "query-nolog" @@ fun dir ->
   let h = Durable.open_or_seed ~seed:Harness.seed_db dir in
@@ -341,6 +341,63 @@ let test_queries_do_not_journal () =
   check_int "replay sees only the DML" (before + 1)
     (Durable.recovery h2).Durable.replayed_records;
   Durable.close h2
+
+(* Reads are pure: every kind of read statement, run through a durable
+   session, leaves the epoch, the schema and the WAL as they were, and
+   a snapshot taken afterwards reloads only the seed's types. *)
+let assert_reads_pure ~name ~seed stmts =
+  in_tmp name @@ fun dir ->
+  Prima.Adaptive.install ();
+  let h = Durable.open_or_seed ~seed dir in
+  let db = Durable.db h in
+  let epoch0 = Database.epoch db and wal0 = Durable.wal_records h in
+  let atypes0 = Database.atom_type_names db in
+  let ltypes0 = Database.link_type_names db in
+  let session = Mad_mql.Session.create db in
+  ignore
+    (Mad_mql.Session.add_on_commit session (fun () -> Durable.commit h));
+  List.iter
+    (fun stmt ->
+      ignore (Mad_mql.Session.run_to_string session stmt);
+      let ctx what = Printf.sprintf "%s unchanged by %s" what stmt in
+      check_int (ctx "epoch") epoch0 (Database.epoch db);
+      check (ctx "atom types") true (Database.atom_type_names db = atypes0);
+      check (ctx "link types") true (Database.link_type_names db = ltypes0);
+      check_int (ctx "wal records") wal0 (Durable.wal_records h))
+    stmts;
+  Durable.snapshot h;
+  Durable.close h;
+  let h2 = Durable.open_dir dir in
+  check_int "snapshot reloads the seed's atom types" (List.length atypes0)
+    (List.length (Database.atom_type_names (Durable.db h2)));
+  Durable.close h2
+
+let test_reads_are_pure () =
+  let brazil () = Workloads.Geo_brazil.db (Workloads.Geo_brazil.build ()) in
+  let sigma = "SELECT ALL FROM state-area-edge-point WHERE state.name = 'SP';" in
+  let pi = "SELECT state(name), area FROM state-area WHERE state.hectare > 900;" in
+  let big = "SELECT ALL FROM state-area-edge-point WHERE state.hectare > 900" in
+  let pn = "SELECT ALL FROM state-area-edge-point WHERE point.name = 'pn'" in
+  let product = "SELECT ALL FROM rv(river-net), st(state-area);" in
+  assert_reads_pure ~name:"pure-brazil" ~seed:brazil
+    [
+      sigma; pi; big ^ " UNION " ^ pn ^ ";"; big ^ " DIFF " ^ pn ^ ";";
+      big ^ " INTERSECT " ^ pn ^ ";"; product;
+      "SELECT ALL FROM edge RECURSIVE BY (edge-point, ~edge-point);";
+      "EXPLAIN " ^ sigma; "EXPLAIN " ^ product; "EXPLAIN ANALYZE " ^ sigma;
+      "EXPLAIN ANALYZE " ^ pi; "EXPLAIN ANALYZE " ^ product;
+      "EXPLAIN ANALYZE " ^ big ^ " UNION " ^ pn ^ ";";
+    ];
+  check_int "brazil has 7 atom types" 7
+    (List.length (Database.atom_type_names (brazil ())));
+  (* brazil has no reflexive link type: recursion runs on the seed's
+     part-next-part chain *)
+  assert_reads_pure ~name:"pure-recursive" ~seed:Harness.seed_db
+    [
+      "SELECT ALL FROM part RECURSIVE BY next;";
+      "SELECT ALL FROM part RECURSIVE BY next WHERE part.weight >= 3;";
+      "EXPLAIN ANALYZE SELECT ALL FROM part RECURSIVE BY next;";
+    ]
 
 (* --- the learned-catalog file ---------------------------------------- *)
 
@@ -385,6 +442,8 @@ let suite =
         test_crash_property 3);
     Alcotest.test_case "recovery errors name their file" `Quick
       test_recovery_errors_name_files;
+    Alcotest.test_case "reads leave the store unchanged" `Quick
+      test_reads_are_pure;
     Alcotest.test_case "queries never journal" `Quick
       test_queries_do_not_journal;
     Alcotest.test_case "learned catalog round-trip" `Quick

@@ -1,5 +1,5 @@
 (* Odds and ends: value/domain edges, forced propagation strategies,
-   executor materialization, session rendering. *)
+   the executor's projection, session rendering. *)
 
 open Mad_store
 open Workloads
@@ -40,39 +40,47 @@ let test_forced_prop_strategies () =
       ~attr_proj:MT.Smap.empty occ
   in
   check "shared exact" true
-    (Mad.Propagate.exact db shared.MT.mdesc shared.MT.mocc);
+    (Mad.Propagate.exact db shared.Mad.Propagate.mdesc
+       shared.Mad.Propagate.mocc);
   check "copied exact" true
-    (Mad.Propagate.exact db copied.MT.mdesc copied.MT.mocc);
+    (Mad.Propagate.exact db copied.Mad.Propagate.mdesc
+       copied.Mad.Propagate.mocc);
   (* copied materializes strictly more atoms than shared (shared borders) *)
-  let atoms_of (m : MT.materialization) =
+  let atoms_of (m : Mad.Propagate.t) =
     MT.Smap.fold
       (fun _ tname acc -> acc + Database.count_atoms db tname)
-      m.MT.node_map 0
+      m.Mad.Propagate.node_map 0
   in
   check "copied > shared" true (atoms_of copied > atoms_of shared);
   check "db still valid" true (Integrity.is_valid db)
 
-let test_executor_materialize_option () =
+(* the executor's projection is the algebra's pipelined Π: the same
+   molecules, description and attribute visibility, and no write *)
+let test_executor_pi_is_algebra_pi () =
   let b = Geo_brazil.build () in
   let db = Geo_brazil.db b in
-  let q =
-    {
-      Prima.Planner.name = "q";
-      desc = Geo_brazil.mt_state_desc b;
-      where = Some Mad.Qual.(attr "state" "hectare" >% int 900);
-      select = Some [ ("state", None); ("area", None) ];
-    }
+  let desc = Geo_brazil.mt_state_desc b in
+  let where = Mad.Qual.(attr "state" "hectare" >% int 900) in
+  let keep = [ ("state", Some [ "name" ]); ("area", None) ] in
+  let q = { Prima.Planner.name = "q"; desc; where = Some where; select = Some keep } in
+  let epoch0 = Database.epoch db and types0 = Database.atom_type_names db in
+  let executed = (Prima.Executor.run db q).Prima.Executor.mt in
+  check "executor wrote nothing" true
+    (Database.epoch db = epoch0 && Database.atom_type_names db = types0);
+  let algebra =
+    MA.project db keep (MA.restrict db where (MA.define db ~name:"q" desc))
   in
-  let pipelined = Prima.Executor.run ~materialize:false db q in
-  let materialized = Prima.Executor.run ~materialize:true db q in
-  check_int "same cardinality"
-    (MT.cardinality pipelined.Prima.Executor.mt)
-    (MT.cardinality materialized.Prima.Executor.mt);
-  (* materialized result carries a propagation, pipelined does not *)
-  check "materialized has prop" true
-    (materialized.Prima.Executor.mt.MT.materialized <> None);
-  check "pipelined has none" true
-    (pipelined.Prima.Executor.mt.MT.materialized = None)
+  check_int "same cardinality" (MT.cardinality algebra) (MT.cardinality executed);
+  check "same molecules" true
+    (Mad.Molecule.Set.equal (MT.molecule_set algebra) (MT.molecule_set executed));
+  check "same description and visible attributes" true
+    (MT.compatible algebra executed);
+  check "state.name visible" true (MT.attr_visible executed "state" "name");
+  check "state.hectare projected away" false
+    (MT.attr_visible executed "state" "hectare");
+  check "area keeps its attributes" true
+    (MT.visible_attrs db executed "area" = MT.visible_attrs db algebra "area"
+    && MT.visible_attrs db executed "area" <> [])
 
 let test_session_rendering () =
   let b = Geo_brazil.build () in
@@ -137,8 +145,8 @@ let suite =
     Alcotest.test_case "value/domain edges" `Quick test_value_edges;
     Alcotest.test_case "forced prop strategies" `Quick
       test_forced_prop_strategies;
-    Alcotest.test_case "executor materialize option" `Quick
-      test_executor_materialize_option;
+    Alcotest.test_case "executor Pi is algebra Pi" `Quick
+      test_executor_pi_is_algebra_pi;
     Alcotest.test_case "session rendering" `Quick test_session_rendering;
     Alcotest.test_case "atom pp_named" `Quick test_atom_pp_named;
     Alcotest.test_case "link-type helpers" `Quick test_link_type_helpers;

@@ -16,15 +16,15 @@ let session () =
   (b, S.create (Geo_brazil.db b))
 
 let molecules = function
-  | S.Result (T.Molecules mt) -> mt
+  | S.Result (T.Molecules mt, _) -> mt
   | S.Defined mt -> mt
-  | S.Result (T.Recursive _ | T.Cycles _)
+  | S.Result ((T.Recursive _ | T.Cycles _), _)
   | S.Inserted _ | S.Dml _ | S.Explained _ ->
     Alcotest.fail "expected molecules"
 
 let recursive = function
-  | S.Result (T.Recursive r) -> r
-  | S.Result (T.Molecules _ | T.Cycles _) | S.Defined _ | S.Inserted _
+  | S.Result (T.Recursive r, _) -> r
+  | S.Result ((T.Molecules _ | T.Cycles _), _) | S.Defined _ | S.Inserted _
   | S.Dml _ | S.Explained _ ->
     Alcotest.fail "expected recursive result"
 
@@ -230,6 +230,35 @@ let test_from_product_simple () =
   check "rv defined" true (S.lookup s "rv" <> None);
   check "st defined" true (S.lookup s "st" <> None)
 
+(* X enlarges the database it runs in, so a MOL statement with X runs
+   in its own copy: the session's database keeps its schema and epoch,
+   the outcome carries the copy to render against, and once the outcome
+   is dropped nothing global (snapshot cache, delta tracking) keeps the
+   copy alive *)
+let test_product_runs_in_a_copy () =
+  let _, s = session () in
+  let db = s.S.db in
+  let epoch0 = Database.epoch db and types0 = Database.atom_type_names db in
+  let weak = Weak.create 1 in
+  (fun () ->
+    match S.run s "SELECT ALL FROM rv(river-net), st(state-area);" with
+    | S.Result (T.Molecules x, copy) ->
+      check_int "30 pairs" 30 (Mad.Molecule_type.cardinality x);
+      check "a copy, not the session database" true (copy != db);
+      check "the pair root lives in the copy" true
+        (Database.has_atom_type copy (Mad.Mdesc.root (Mad.Molecule_type.desc x)));
+      check "no snapshot of the copy is cached" true
+        (Mad_kernel.Snapshot.peek copy = None);
+      check "the copy is not delta-tracked" false (Mad_kernel.Delta.tracked copy);
+      Weak.set weak 0 (Some copy)
+    | _ -> Alcotest.fail "expected molecules")
+    ();
+  check_int "session epoch unchanged" epoch0 (Database.epoch db);
+  check "session schema unchanged" true (Database.atom_type_names db = types0);
+  Gc.full_major ();
+  check "the copy is unreachable once the outcome is dropped" true
+    (Weak.get weak 0 = None)
+
 let test_cycle_recursion_via_mql () =
   let design = Vlsi_gen.build Vlsi_gen.default in
   let s = S.create design.Vlsi_gen.db in
@@ -243,7 +272,7 @@ let test_cycle_recursion_via_mql () =
     "round-trip" printed
     (Mad_mql.Ast.to_string (Mad_mql.Parser.parse printed));
   match S.run s src with
-  | S.Result (T.Cycles c) ->
+  | S.Result (T.Cycles c, _) ->
     check_int "one NAND closure" 1 (List.length c.Mad_recursive.Recursive.cocc);
     let m = List.hd c.Mad_recursive.Recursive.cocc in
     check "reaches other cells" true
@@ -310,6 +339,8 @@ let suite =
     Alcotest.test_case "SELECT projection" `Quick test_projection_select;
     Alcotest.test_case "set operators" `Quick test_set_operators;
     Alcotest.test_case "FROM product (X)" `Quick test_from_product_simple;
+    Alcotest.test_case "X runs in a private copy" `Quick
+      test_product_runs_in_a_copy;
     Alcotest.test_case "recursion via MOL" `Quick test_recursion_via_mql;
     Alcotest.test_case "cycle recursion via MOL" `Quick
       test_cycle_recursion_via_mql;

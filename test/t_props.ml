@@ -155,17 +155,17 @@ let prop_union_laws =
     (Q.pair pred pred) (fun (p, q) ->
       let db, mt = fresh_brazil () in
       let a = MA.restrict db p mt and b = MA.restrict db q mt in
-      let u1 = MA.union db a b and u2 = MA.union db b a in
+      let u1 = MA.union a b and u2 = MA.union b a in
       Mad.Molecule.Set.equal (mset u1) (mset u2)
-      && Mad.Molecule.Set.equal (mset (MA.union db a a)) (mset a)
-      && MT.cardinality (MA.diff db a a) = 0)
+      && Mad.Molecule.Set.equal (mset (MA.union a a)) (mset a)
+      && MT.cardinality (MA.diff a a) = 0)
 
 let prop_psi_is_intersection =
   Q.Test.make ~count:30 ~name:"Psi = set intersection, symmetric"
     (Q.pair pred pred) (fun (p, q) ->
       let db, mt = fresh_brazil () in
       let a = MA.restrict db p mt and b = MA.restrict db q mt in
-      let i1 = MA.intersect db a b and i2 = MA.intersect db b a in
+      let i1 = MA.intersect a b and i2 = MA.intersect b a in
       Mad.Molecule.Set.equal (mset i1) (mset i2)
       && Mad.Molecule.Set.equal (mset i1)
            (Mad.Molecule.Set.inter (mset a) (mset b)))
@@ -175,7 +175,7 @@ let prop_demorgan =
     (fun p ->
       let db, mt = fresh_brazil () in
       let not_p = MA.restrict db (Mad.Qual.Not p) mt in
-      let complement = MA.diff db mt (MA.restrict db p mt) in
+      let complement = MA.diff mt (MA.restrict db p mt) in
       Mad.Molecule.Set.equal (mset not_p) (mset complement))
 
 let prop_closure_random_pipeline =
@@ -184,7 +184,7 @@ let prop_closure_random_pipeline =
       let db, mt = fresh_brazil () in
       let s = MA.restrict db p mt in
       let pr = MA.project db [ ("state", None); ("area", None) ] s in
-      let u = MA.union db pr (MA.project db [ ("state", None); ("area", None) ] (MA.restrict db q mt)) in
+      let u = MA.union pr (MA.project db [ ("state", None); ("area", None) ] (MA.restrict db q mt)) in
       List.for_all
         (fun t -> Mad.Closure.ok (Mad.Closure.check_molecule_type db t))
         [ s; pr; u ]

@@ -209,7 +209,7 @@ let test_with_via_mql () =
       "SELECT ALL FROM cell RECURSIVE BY instantiates WITH cell-pin WHERE \
        cell.cname = 'TOP';"
   with
-  | Mad_mql.Session.Result (Mad_mql.Translate.Recursive r) ->
+  | Mad_mql.Session.Result (Mad_mql.Translate.Recursive r, _) ->
     check_int "one molecule" 1 (List.length r.R.occ);
     let m = List.hd r.R.occ in
     (* every member cell carries its pins *)
@@ -253,7 +253,7 @@ let test_recursive_set_ops_via_mql () =
       "SELECT ALL FROM part RECURSIVE BY composition DIFF SELECT ALL FROM \
        part RECURSIVE BY composition WHERE part.pname = 'P0_0';"
   with
-  | Mad_mql.Session.Result (Mad_mql.Translate.Recursive r) ->
+  | Mad_mql.Session.Result (Mad_mql.Translate.Recursive r, _) ->
     check_int "all but one root"
       (Database.count_atoms bom.Bom_gen.db "part" - 1)
       (List.length r.R.occ)

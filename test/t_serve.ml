@@ -312,6 +312,25 @@ let test_basic_requests () =
   Client.close c;
   check_int "one connection admitted" 1 (Serve.connections srv)
 
+(* served reads are pure: a stream of restricted reads leaves the
+   server database's epoch and schema exactly as they were *)
+let test_served_reads_are_pure () =
+  let db = brazil () in
+  with_server db @@ fun srv ->
+  let c = connect_ok srv in
+  let epoch0 = Mad_store.Database.epoch db in
+  let atypes0 = List.length (Mad_store.Database.atom_type_names db) in
+  for i = 1 to 200 do
+    match Client.query c "SELECT ALL FROM state-area-edge-point WHERE state.name = 'SP';" with
+    | Ok out ->
+      if i = 1 then check "read renders molecules" true (contains ~affix:"SP" out)
+    | Error msg -> Alcotest.failf "read %d: %s" i msg
+  done;
+  Client.close c;
+  check_int "epoch constant over 200 reads" epoch0 (Mad_store.Database.epoch db);
+  check_int "atom types constant over 200 reads" atypes0
+    (List.length (Mad_store.Database.atom_type_names db))
+
 (* a raw handshake proposing [version]: the server's reply bytes, and
    whether it then hung up *)
 let raw_hello srv version =
@@ -614,6 +633,8 @@ let suite =
     Alcotest.test_case "coordinator leader failure" `Quick
       test_coordinator_leader_failure;
     Alcotest.test_case "basic requests" `Quick test_basic_requests;
+    Alcotest.test_case "served reads are pure" `Quick
+      test_served_reads_are_pure;
     Alcotest.test_case "handshake version mismatch" `Quick test_version_mismatch;
     Alcotest.test_case "v1 hello is refused naming 2" `Quick
       test_v1_hello_refused;
