@@ -8,7 +8,7 @@
      dot      emit Graphviz for the schema or the atom networks
      digest   run statements and report the workload digest
      trace    run statements and dump the flight recorder (Chrome trace)
-     timeline run statements, sampling telemetry frames; export JSON/CSV
+     timeline run statements, sampling telemetry frames; export JSON
      health   run statements and report the health verdict (exit 0/1/2)
      top      live terminal view: health, runtime gauges, counter rates
      recovery run the crash-recovery fault-injection suite
@@ -78,12 +78,47 @@ let apply_slow = function
   | None -> ()
   | Some ms -> Mad_obs.Digest.set_slow_log (Some ms)
 
+(* The side state a data directory keeps beside its snapshot and log
+   (Mad_obs.State_file): a session's learned catalog (stats.mad) and
+   workload digest (digest.mad), and, while a timeline is live
+   (MAD_OBS_TICK or a timeline-aware subcommand), its frames and probe
+   baselines (timeline.mad).  A damaged file is reported and ignored,
+   never fatal. *)
+module Sf = Mad_obs.State_file
+
+let session_digest session =
+  Option.bind session (fun s -> s.Mad_mql.Session.digest)
+
+let load_side_state ?session dir =
+  Option.iter (fun s -> ignore (Prima.Adaptive.load_session s dir)) session;
+  Option.iter
+    (fun dg ->
+      ignore
+        (Sf.load Mad_obs.Digest.state_file dir (Mad_obs.Digest.merge_records dg)))
+    (session_digest session);
+  Option.iter
+    (fun tl ->
+      ignore
+        (Sf.load Mad_obs.Timeline.state_file dir
+           (Mad_obs.Timeline.merge_records tl)))
+    (Mad_obs.Timeline.active ())
+
+let save_side_state ?session dir =
+  Option.iter (fun s -> ignore (Prima.Adaptive.save_session s dir)) session;
+  Option.iter
+    (fun dg ->
+      Sf.save Mad_obs.Digest.state_file dir (Mad_obs.Digest.records dg))
+    (session_digest session);
+  Option.iter
+    (fun tl ->
+      Sf.save Mad_obs.Timeline.state_file dir (Mad_obs.Timeline.records tl))
+    (Mad_obs.Timeline.active ())
+
 (** Run [f session durable] against either a transient session over a
     built-in database or, with [--data], a durable one: recovery on
-    open, statement-level group commit, and the adaptive catalog and
-    workload digest loaded from (and saved back to) the directory's
-    [stats.mad] / [digest.mad].  Every CLI session records a workload
-    digest ([madql digest], repl [:digest]). *)
+    open, statement-level group commit, and the directory's side state
+    loaded on open and saved back on close.  Every CLI session records
+    a workload digest ([madql digest], repl [:digest]). *)
 let with_session ?obs db_name data f =
   match data with
   | None ->
@@ -100,30 +135,13 @@ let with_session ?obs db_name data f =
       ~finally:(fun () -> Mad_durable.Durable.close h)
       (fun () ->
         let session = Mad_mql.Session.create ?obs (Mad_durable.Durable.db h) in
-        let dg = Mad_mql.Session.enable_digest session in
+        ignore (Mad_mql.Session.enable_digest session);
         ignore
           (Mad_mql.Session.add_on_commit session (fun () ->
                Mad_durable.Durable.commit h));
-        ignore
-          (Prima.Adaptive.load_session session (Mad_durable.Durable.stats_path h));
-        ignore (Mad_obs.Digest.load dg (Mad_durable.Durable.digest_path h));
-        (* when a timeline is live (MAD_OBS_TICK or a timeline-aware
-           subcommand), its frames and probe baselines persist beside
-           the WAL as timeline.mad *)
-        (match Mad_obs.Timeline.active () with
-         | Some tl ->
-           ignore (Mad_obs.Timeline.load tl (Mad_durable.Durable.timeline_path h))
-         | None -> ());
+        load_side_state ~session dirname;
         Fun.protect
-          ~finally:(fun () ->
-            ignore
-              (Prima.Adaptive.save_session session
-                 (Mad_durable.Durable.stats_path h));
-            Mad_obs.Digest.save dg (Mad_durable.Durable.digest_path h);
-            match Mad_obs.Timeline.active () with
-            | Some tl ->
-              Mad_obs.Timeline.save tl (Mad_durable.Durable.timeline_path h)
-            | None -> ())
+          ~finally:(fun () -> save_side_state ~session dirname)
           (fun () -> f session (Some h)))
 
 (* ------------------------------------------------------------------ *)
@@ -240,12 +258,9 @@ let repl db_name data slow =
          | None -> Format.printf "not a durable session (run with --data DIR)@."
          | Some h ->
            Mad_durable.Durable.snapshot h;
-           let stats_saved =
-             Prima.Adaptive.save_session session (Mad_durable.Durable.stats_path h)
-           in
-           Format.printf "snapshot rolled in %s%s@."
-             (Mad_durable.Durable.dir h)
-             (if stats_saved then " (learned catalog saved)" else ""));
+           save_side_state ~session (Mad_durable.Durable.dir h);
+           Format.printf "snapshot rolled and side state saved in %s@."
+             (Mad_durable.Durable.dir h));
         loop ()
       end
       else if String.equal trimmed ":trace"
@@ -698,30 +713,19 @@ let timeline_stmts_arg =
     & info [] ~docv:"STATEMENTS"
         ~doc:"MOL statements to execute, one timeline frame each.")
 
-let timeline db_name data repeat json csv out stmts =
+let timeline db_name data repeat _json out stmts =
   handle @@ fun () ->
-  if json && csv then Err.failf "--json and --csv are mutually exclusive";
   let tl = Mad_obs.Timeline.configure () in
   with_session db_name data @@ fun session _durable ->
   run_ticked session tl ~inject:None ~repeat stmts;
-  if csv then print_string (Mad_obs.Timeline.to_csv tl)
-  else
-    match out with
-    | Some path -> write_timeline_json tl path
-    | None ->
-      print_string (Mad_obs.Json.to_string (Mad_obs.Timeline.to_json tl));
-      print_newline ()
+  match out with
+  | Some path -> write_timeline_json tl path
+  | None ->
+    print_string (Mad_obs.Json.to_string (Mad_obs.Timeline.to_json tl));
+    print_newline ()
 
 let timeline_json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the timeline as JSON (default).")
-
-let timeline_csv_arg =
-  Arg.(
-    value & flag
-    & info [ "csv" ]
-        ~doc:
-          "Emit the timeline as long-format CSV \
-           (frame,unix,ticks,kind,name,labels,value,sum).")
 
 let timeline_out_arg =
   Arg.(
@@ -736,12 +740,12 @@ let timeline_cmd =
        ~doc:
          "Execute MOL statements, sampling one telemetry frame per \
           statement (registry counters and gauges, histogram summaries, \
-          runtime.* GC/heap gauges), and export the frame ring as JSON or \
-          CSV.  With $(b,--data), frames and probe baselines merge with \
+          runtime.* GC/heap gauges), and export the frame ring as JSON.  \
+          With $(b,--data), frames and probe baselines merge with \
           (and persist to) the directory's timeline.mad.")
     Term.(
       const timeline $ db_arg $ data_arg $ repeat_arg $ timeline_json_arg
-      $ timeline_csv_arg $ timeline_out_arg $ timeline_stmts_arg)
+      $ timeline_out_arg $ timeline_stmts_arg)
 
 (* --inject-slow K:MS — after the first K statements, every statement
    busy-waits MS milliseconds inside its timed block *)
@@ -1051,14 +1055,7 @@ let serve db_name data port host workers max_pending idle slow trace =
     Mad_serve.Serve.stop srv;
     Format.eprintf "server stopped (%d connection(s) served)@."
       (Mad_serve.Serve.connections srv);
-    (match Mad_obs.Timeline.active () with
-     | Some tl -> (
-       match data with
-       | Some dirname ->
-         Mad_obs.Timeline.save tl
-           (Mad_durable.Durable.timeline_path_of_dir dirname)
-       | None -> ())
-     | None -> ());
+    Option.iter (fun dir -> save_side_state dir) data;
     match trace with Some path -> write_trace path | None -> ()
   in
   match data with
@@ -1072,6 +1069,7 @@ let serve db_name data port host workers max_pending idle slow trace =
         ~seed:(fun () -> load_db db_name)
         dirname
     in
+    load_side_state dirname;
     Fun.protect
       ~finally:(fun () -> Mad_durable.Durable.close ~snapshot:true h)
       (fun () ->

@@ -1,11 +1,13 @@
 (** The durability engine: snapshot + write-ahead log + recovery.
 
-    A data directory holds at most three files:
+    A data directory holds two files of durable state:
     {v
     DIR/snapshot.mad   latest snapshot (Serialize dump)
     DIR/wal.log        checksummed log of DML since that snapshot
-    DIR/stats.mad      learned optimizer catalog (written by PRIMA)
     v}
+    beside which sessions keep advisory side state (the learned
+    catalog, the workload digest, the timeline) through
+    {!Mad_obs.State_file}.
     Every store mutation of an opened database is appended to the WAL
     as one logical record {e after} it succeeds in memory (the journal
     hook of {!Database.set_journal}); a snapshot rewrites
@@ -24,15 +26,9 @@ open Mad_store
 
 let snapshot_basename = "snapshot.mad"
 let wal_basename = "wal.log"
-let stats_basename = "stats.mad"
-let digest_basename = "digest.mad"
-let timeline_basename = "timeline.mad"
 
 let snapshot_path dir = Filename.concat dir snapshot_basename
 let wal_path dir = Filename.concat dir wal_basename
-let stats_path_of_dir dir = Filename.concat dir stats_basename
-let digest_path_of_dir dir = Filename.concat dir digest_basename
-let timeline_path_of_dir dir = Filename.concat dir timeline_basename
 
 (** Does the directory hold durable state already? *)
 let exists dir =
@@ -68,9 +64,6 @@ type t = {
 let db t = t.db
 let dir t = t.dir
 let recovery t = t.recovery
-let stats_path t = stats_path_of_dir t.dir
-let digest_path t = digest_path_of_dir t.dir
-let timeline_path t = timeline_path_of_dir t.dir
 let wal_records t = t.wal_records
 
 let rec mkdirs dir =
@@ -80,23 +73,6 @@ let rec mkdirs dir =
     try Unix.mkdir dir 0o755
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-(* write [text] to [path] atomically: temp file in the same directory,
-   fsync, rename over the target *)
-let write_atomically path text =
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let b = Bytes.of_string text in
-      let n = Unix.write fd b 0 (Bytes.length b) in
-      if n <> Bytes.length b then
-        Err.failf "%s: short write (%d of %d bytes)" tmp n (Bytes.length b);
-      Unix.fsync fd);
-  Sys.rename tmp path
 
 (* --- recovery ------------------------------------------------------- *)
 
@@ -140,7 +116,7 @@ let snapshot t =
   check_open t;
   let t0 = Mad_obs.Monotonic.ticks () in
   let records = t.wal_records in
-  write_atomically (snapshot_path t.dir) (Serialize.dump t.db);
+  Mad_obs.State_file.write_atomically (snapshot_path t.dir) (Serialize.dump t.db);
   restart_wal t;
   Mad_obs.Recorder.note Snapshot_build
     ~dur_ns:(Mad_obs.Monotonic.ticks () - t0)
@@ -183,7 +159,7 @@ let open_dir ?(obs = Mad_obs.Obs.noop) ?(sync = false) ?snapshot_every ?faults
       | Some d when fresh -> (Database.copy d, false)
       | Some _ | None -> (Database.create (), false)
   in
-  if fresh then write_atomically snap (Serialize.dump db);
+  if fresh then Mad_obs.State_file.write_atomically snap (Serialize.dump db);
   let payloads, torn = replay_wal db dirname in
   let replayed = List.length payloads in
   verify dirname db;

@@ -1,8 +1,9 @@
 (** The durability engine: snapshot + write-ahead log + recovery.
 
-    A data directory holds [snapshot.mad] (latest snapshot),
-    [wal.log] (checksummed log of DML since that snapshot) and
-    [stats.mad] (the learned optimizer catalog, written by PRIMA).
+    A data directory holds [snapshot.mad] (latest snapshot) and
+    [wal.log] (checksummed log of DML since that snapshot); sessions
+    keep their advisory side state beside them ({!Mad_obs.State_file},
+    located by {!dir}).
     {!open_dir} recovers — snapshot, WAL replay with torn-tail
     tolerance, {!Integrity} re-verification — and journals every
     subsequent store mutation back to the log. *)
@@ -11,22 +12,9 @@ open Mad_store
 
 val snapshot_basename : string
 val wal_basename : string
-val stats_basename : string
-val digest_basename : string
-val timeline_basename : string
 
 val exists : string -> bool
 (** Does the directory hold durable state (a snapshot or a log)? *)
-
-val stats_path_of_dir : string -> string
-(** Where the learned catalog lives beside the WAL. *)
-
-val digest_path_of_dir : string -> string
-(** Where the workload digest store lives beside the WAL. *)
-
-val timeline_path_of_dir : string -> string
-(** Where the telemetry timeline ([timeline.mad]) lives beside the
-    WAL. *)
 
 type recovery = {
   snapshot_loaded : bool;
@@ -79,9 +67,6 @@ val open_or_seed :
 val db : t -> Database.t
 val dir : t -> string
 val recovery : t -> recovery
-val stats_path : t -> string
-val digest_path : t -> string
-val timeline_path : t -> string
 
 val wal_records : t -> int
 (** Records currently in the log (replayed plus appended). *)

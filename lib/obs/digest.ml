@@ -17,9 +17,9 @@
     {!Recorder.Plan_switch} event, so a regression introduced by
     learned statistics is visible in both the metrics and the trace.
 
-    Persistence is the line-oriented [digest.mad] format (same family
-    as the adaptive catalog's [stats.mad]); loading {e merges} into the
-    live store so workload history accumulates across restarts. *)
+    The store persists as [digest.mad] records in a durable data
+    directory ({!State_file}); loading {e merges} into the live store
+    so workload history accumulates across restarts. *)
 
 let hex h = Printf.sprintf "%x" (h land max_int)
 
@@ -274,136 +274,77 @@ let to_json ?by ?top:k t =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: the line-oriented [digest.mad] format                   *)
+(* Persistence: [digest.mad] records                                    *)
 
-let format_header = "# MAD statement digest v1"
+let state_file = { State_file.kind = "digest"; version = 2 }
 
-let to_string t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf format_header;
-  Buffer.add_char buf '\n';
-  List.iter
+let records t =
+  let flt = State_file.float_field and int = string_of_int in
+  List.concat_map
     (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "fp %s %s\n" (hex e.en_fp) (String.escaped e.en_text));
-      List.iter
-        (fun r ->
-          let h = r.pr_lat in
-          let counts =
-            String.concat ","
-              (List.init (Array.length h.Metric.counts) (fun i ->
-                   string_of_int (Metric.bucket_count h i)))
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "row %s %s %d %d %d %.17g %d %.17g %d %.17g %.17g %s\n"
-               (hex e.en_fp) (hex r.pr_plan) (Metric.value r.pr_calls)
-               (Metric.value r.pr_errors) (Metric.value r.pr_rows)
-               r.pr_drift_sum r.pr_drift_n (Metric.sum h) (Metric.count h)
-               (Metric.min_raw h) (Metric.max_raw h) counts))
-        e.en_rows;
+      let fp = hex e.en_fp in
+      ([ "fp"; fp; State_file.encode e.en_text ]
+       :: List.map
+            (fun r ->
+              let h = r.pr_lat in
+              let counts =
+                String.concat ","
+                  (List.init (Array.length h.Metric.counts) (fun i ->
+                       int (Metric.bucket_count h i)))
+              in
+              [ "row"; fp; hex r.pr_plan; int (Metric.value r.pr_calls);
+                int (Metric.value r.pr_errors); int (Metric.value r.pr_rows);
+                flt r.pr_drift_sum; int r.pr_drift_n; flt (Metric.sum h);
+                int (Metric.count h); flt (Metric.min_raw h);
+                flt (Metric.max_raw h); counts ])
+            e.en_rows)
+      @
       if e.en_plan >= 0 then
-        Buffer.add_string buf
-          (Printf.sprintf "cur %s %s %d\n" (hex e.en_fp) (hex e.en_plan)
-             e.en_switches))
-    (entries t);
-  Buffer.contents buf
+        [ [ "cur"; fp; hex e.en_plan; int e.en_switches ] ]
+      else [])
+    (entries t)
 
-let split_ws s =
-  String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
+let hex_int s = int_of_string ("0x" ^ s)
 
-let hex_int s = int_of_string_opt ("0x" ^ s)
-
-(** Merge a serialized digest into [t].  Tolerant of malformed lines
-    (skipped); [Error] only on a wrong or missing header. *)
-let merge_string t s =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | header :: rest when String.trim header = format_header ->
-    List.iter
-      (fun line ->
-        match split_ws line with
-        | "fp" :: fp :: text_words -> begin
-          match hex_int fp with
-          | Some fp ->
-            let text =
-              try Scanf.unescaped (String.concat " " text_words)
-              with Scanf.Scan_failure _ | Failure _ ->
-                String.concat " " text_words
-            in
-            ignore (entry t ~fp ~text)
-          | None -> ()
-        end
-        | [ "row"; fp; plan; calls; errors; rows; dsum; dn; sum; n; mn; mx;
-            counts ] -> begin
-          match (hex_int fp, hex_int plan) with
-          | Some fp, Some plan -> begin
-            match Hashtbl.find_opt t.entries fp with
-            | None -> ()
-            | Some e ->
-              let r = prow t e plan in
-              let int_of s = Option.value ~default:0 (int_of_string_opt s) in
-              let flt_of s =
-                Option.value ~default:0.0 (float_of_string_opt s)
-              in
-              Metric.add r.pr_calls (int_of calls);
-              Metric.add r.pr_errors (int_of errors);
-              Metric.add r.pr_rows (int_of rows);
-              r.pr_drift_sum <- r.pr_drift_sum +. flt_of dsum;
-              r.pr_drift_n <- r.pr_drift_n + int_of dn;
-              let bucket_counts =
-                String.split_on_char ',' counts
-                |> List.map int_of |> Array.of_list
-              in
-              Metric.absorb r.pr_lat ~counts:bucket_counts ~sum:(flt_of sum)
-                ~n:(int_of n) ~min_v:(flt_of mn) ~max_v:(flt_of mx)
-          end
-          | _ -> ()
-        end
-        | [ "cur"; fp; plan; switches ] -> begin
-          match (hex_int fp, hex_int plan) with
-          | Some fp, Some plan -> begin
-            match Hashtbl.find_opt t.entries fp with
-            | Some e ->
-              (* only adopt the stored current plan while the live
-                 entry has not executed yet this session — a live plan
-                 observation outranks history *)
-              if e.en_plan < 0 then e.en_plan <- plan;
-              e.en_switches <-
-                e.en_switches
-                + Option.value ~default:0 (int_of_string_opt switches)
-            | None -> ()
-          end
-          | _ -> ()
-        end
-        | [] | _ -> ())
-      rest;
-    Ok ()
-  | header :: _ ->
-    Error (Printf.sprintf "digest: unrecognized header %S" (String.trim header))
-  | [] -> Error "digest: empty input"
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> try close_out oc with Sys_error _ -> ())
-    (fun () -> output_string oc (to_string t))
-
-(** Merge [path] into [t]; [false] when the file does not exist.
-    A malformed file is reported on stderr and otherwise ignored. *)
-let load t path =
-  if not (Sys.file_exists path) then false
-  else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+(* one record into the live store; raises [Failure] when it is
+   malformed or names a fingerprint no earlier [fp] record introduced *)
+let merge_record t record =
+  let known fp =
+    match Hashtbl.find_opt t.entries (hex_int fp) with
+    | Some e -> e
+    | None -> failwith "unknown fingerprint"
+  in
+  let int = int_of_string and flt = float_of_string in
+  match record with
+  | [ "fp"; fp; text ] ->
+    ignore (entry t ~fp:(hex_int fp) ~text:(State_file.decode text))
+  | [ "row"; fp; plan; calls; errors; rows; dsum; dn; sum; n; mn; mx; counts ]
+    ->
+    let e = known fp and plan = hex_int plan in
+    let calls = int calls and errors = int errors and rows = int rows in
+    let dsum = flt dsum and dn = int dn in
+    let sum = flt sum and n = int n and min_v = flt mn and max_v = flt mx in
+    let counts =
+      Array.of_list (List.map int (String.split_on_char ',' counts))
     in
-    (match merge_string t s with
-     | Ok () -> ()
-     | Error e -> Printf.eprintf "mad_obs: %s: %s\n%!" path e);
-    true
-  end
+    let r = prow t e plan in
+    Metric.add r.pr_calls calls;
+    Metric.add r.pr_errors errors;
+    Metric.add r.pr_rows rows;
+    r.pr_drift_sum <- r.pr_drift_sum +. dsum;
+    r.pr_drift_n <- r.pr_drift_n + dn;
+    Metric.absorb r.pr_lat ~counts ~sum ~n ~min_v ~max_v
+  | [ "cur"; fp; plan; switches ] ->
+    let e = known fp and plan = hex_int plan and switches = int switches in
+    (* only adopt the stored current plan while the live entry has not
+       executed yet this session — a live plan observation outranks
+       history *)
+    if e.en_plan < 0 then e.en_plan <- plan;
+    e.en_switches <- e.en_switches + switches
+  | _ -> failwith "unknown record"
+
+let merge_records t records =
+  snd (State_file.fold (fun () r -> merge_record t r) () records)
 
 (* ------------------------------------------------------------------ *)
 (* Slow-query log                                                       *)

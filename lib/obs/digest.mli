@@ -79,18 +79,18 @@ val hex : int -> string
 
 (** {1 Persistence ([digest.mad])} *)
 
-val to_string : t -> string
-(** Serialize in the line-oriented [digest.mad] format. *)
+val state_file : State_file.t
+(** Kind [digest], version 2. *)
 
-val merge_string : t -> string -> (unit, string) result
-(** Merge a serialized digest into the live store (counts add,
-    histograms absorb).  Malformed lines are skipped; [Error] only on
-    a bad header. *)
+val records : t -> string list list
+(** One [fp] record per fingerprint (its normalized text), one [row]
+    per (fingerprint, plan) with the counters and the latency
+    histogram, and a [cur] record with the current plan and switch
+    count. *)
 
-val save : t -> string -> unit
-
-val load : t -> string -> bool
-(** Merge the digest file at [path] into [t]; [false] when absent. *)
+val merge_records : t -> string list list -> int
+(** Merge records into the live store (counts add, histograms absorb);
+    returns how many were malformed and skipped. *)
 
 (** {1 Slow-query log}
 

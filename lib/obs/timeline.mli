@@ -14,8 +14,9 @@
     MAD_OBS_TICK=SECS:bg  also spawn a background sampler domain, so
                           frames keep arriving while the engine idles
     v}
-    Frames persist as [timeline.mad] beside a durable store's WAL, so
-    history (and probe baselines) survive restarts.
+    Frames and probe baselines persist as [timeline.mad] records in a
+    durable data directory ({!State_file}), so history survives
+    restarts.
 
     Probes maintained by {!tick}:
     - [latency] per digest fingerprint — mean [digest.latency_us]
@@ -157,9 +158,6 @@ val stop_background : unit -> unit
 val to_json : t -> Json.t
 (** [{"frames": [...], "health": ..., "probes": [...]}]. *)
 
-val to_csv : t -> string
-(** Long-format CSV: [frame,unix,ticks,kind,name,labels,value,sum]. *)
-
 val health_json : t -> Json.t
 (** [{"state", "exit", "frames", "probes": [...]}] — the
     [madql health --json] document. *)
@@ -170,19 +168,18 @@ val pp_dashboard : Format.formatter -> t -> unit
 
 (** {1 Persistence ([timeline.mad])} *)
 
-val to_string : t -> string
-(** Metric names and label keys/values percent-encode the format's
-    structural characters (space, comma, equals, '%', line breaks), so
-    any registered name/label round-trips through
-    {!merge_string}. *)
+val state_file : State_file.t
+(** Kind [timeline], version 1. *)
 
-val merge_string : t -> string -> (unit, string) result
-(** Merge serialized frames (appended behind any live frames, ring
-    semantics apply) and probe baselines into [t].  Malformed lines
-    are skipped; [Error] only on a bad header. *)
+val records : t -> string list list
+(** A [frame] record (seq, unix, ticks, point count) followed by one
+    [pt] record per point — kind, value, sum, name and, when the point
+    has labels, one [k=v,...] field — then one [probe] record per
+    probe (name, label, baseline, fired, firing).  Names, label keys
+    and values go through {!State_file.encode}, so any of them
+    round-trips. *)
 
-val save : t -> string -> unit
-
-val load : t -> string -> bool
-(** Merge the timeline file at [path] into [t]; [false] when
-    absent. *)
+val merge_records : t -> string list list -> int
+(** Merge records into [t]: frames are appended behind any live
+    frames (ring semantics apply) and probe baselines restored.
+    Returns how many records were malformed and skipped. *)

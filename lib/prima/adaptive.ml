@@ -166,26 +166,34 @@ let install () =
 (* ------------------------------------------------------------------ *)
 (* Catalog persistence                                                  *)
 
-(** Persist the session's refined catalog as a [stats.mad] file
+(** Persist the session's refined catalog as [stats.mad] in [dir]
     ({!Catalog_io}); [false] when the session has no adaptive state or
     the catalog was never collected (nothing learned, nothing saved). *)
-let save_session (session : Session.t) path =
+let save_session (session : Session.t) dir =
   match session.Session.ext with
   | Some (Adaptive { catalog = Some c; _ }) ->
-    Catalog_io.save c path;
+    Mad_obs.State_file.save Catalog_io.state_file dir (Catalog_io.records c);
     true
   | _ -> false
 
-(** Install a previously-saved catalog as the session's adaptive
+(** Install the catalog saved in [dir] as the session's adaptive
     starting point, superseding the static collection of the first
-    profiled run; [false] when the file does not exist. *)
-let load_session ?alpha ?factor (session : Session.t) path =
-  match Catalog_io.load_opt path with
-  | None -> false
-  | Some c ->
+    profiled run; [false] when there is none.  A catalog without atom
+    counts is no catalog: installing it would make every estimate 0
+    instead of letting the first profiled run collect fresh ones. *)
+let load_session ?alpha ?factor (session : Session.t) dir =
+  let loaded = ref None in
+  ignore
+    (Mad_obs.State_file.load Catalog_io.state_file dir (fun records ->
+         let c, skipped = Catalog_io.of_records records in
+         loaded := Some c;
+         skipped));
+  match !loaded with
+  | Some c when not (Stats.Smap.is_empty c.Stats.atom_counts) ->
     let st = state ?alpha ?factor session in
     st.catalog <- Some c;
     true
+  | Some _ | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* The drift report                                                     *)

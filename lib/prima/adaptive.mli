@@ -65,13 +65,15 @@ val install : unit -> unit
     wiring. *)
 
 val save_session : Session.t -> string -> bool
-(** Persist the session's refined catalog as a [stats.mad] file
-    ({!Catalog_io}); [false] when nothing was learned yet. *)
+(** Persist the session's refined catalog as [stats.mad] in the given
+    data directory ({!Catalog_io}); [false] when nothing was learned
+    yet. *)
 
 val load_session : ?alpha:float -> ?factor:float -> Session.t -> string -> bool
-(** Install a previously-saved catalog as the session's adaptive
-    starting point (supersedes the static collection of the first
-    profiled run); [false] when the file does not exist.  Closes the
+(** Install the catalog saved in the given data directory as the
+    session's adaptive starting point (supersedes the static
+    collection of the first profiled run); [false] when the file is
+    absent, ignored as damaged, or holds no atom counts.  Closes the
     loop across sessions: estimates persist per data directory. *)
 
 val pp_report : Format.formatter -> Session.t -> unit

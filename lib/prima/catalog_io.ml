@@ -1,152 +1,82 @@
-(** Persistence of the learned statistics catalog ([stats.mad]).
+(** The learned statistics catalog as side-state records: [stats.mad]
+    in a durable data directory, read and written by
+    {!Mad_obs.State_file}.
 
-    A {!Stats.t} is five string-keyed maps of scalars, so the format
-    is line-oriented like the rest of the system's files:
+    A {!Stats.t} is five string-keyed maps of scalars, one record per
+    entry:
     {v
-    # MAD adaptive catalog v1
+    # MAD stats v2
     count state 27
     distinct state.name 27
-    link state-area 110 4.074 1.0
+    link state-area 110 4.074 1
     learned state-area 3.9 - 3.2 -
-    sel 0.037 state|state.name = 'SP'
+    sel state|state.name%20%3D%20'SP' 0.037
     v}
-    Floats are printed with ["%.17g"] (lossless round-trip); absent
-    learned factors are [-].  A [sel] key is the tail of its line (it
-    embeds the rendered predicate, spaces and quotes included).
+    Keys are {!Mad_obs.State_file.encode}d, floats are lossless
+    {!Mad_obs.State_file.float_field}s, and an absent learned factor
+    is [-].
+    The file is what lets a session's optimizer start from the
+    estimates the previous session converged onto, instead of from
+    the static catalog. *)
 
-    The durability engine stores this file beside the write-ahead log
-    ([Durable.stats_path]), which is what lets a session's optimizer
-    start from the estimates the previous session converged onto,
-    instead of from the static catalog. *)
-
-open Mad_store
 module Smap = Stats.Smap
+module Sf = Mad_obs.State_file
 
-let float_str f = Printf.sprintf "%.17g" f
+let state_file = { Sf.kind = "stats"; version = 2 }
 
-let opt_float_str = function None -> "-" | Some f -> float_str f
+let flt = Sf.float_field
+let opt_flt = function None -> "-" | Some f -> flt f
 
-let to_string (s : Stats.t) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "# MAD adaptive catalog v1\n";
-  Smap.iter
-    (fun k n -> Buffer.add_string buf (Printf.sprintf "count %s %d\n" k n))
-    s.Stats.atom_counts;
-  Smap.iter
-    (fun k n -> Buffer.add_string buf (Printf.sprintf "distinct %s %d\n" k n))
-    s.Stats.distinct;
-  Smap.iter
-    (fun k (ls : Stats.link_stat) ->
-      Buffer.add_string buf
-        (Printf.sprintf "link %s %d %s %s\n" k ls.Stats.pairs
-           (float_str ls.Stats.fanout_fwd)
-           (float_str ls.Stats.fanout_bwd)))
-    s.Stats.link_stats;
-  Smap.iter
-    (fun k (l : Stats.learned_link) ->
-      Buffer.add_string buf
-        (Printf.sprintf "learned %s %s %s %s %s\n" k
-           (opt_float_str l.Stats.lf_fwd)
-           (opt_float_str l.Stats.lf_bwd)
-           (opt_float_str l.Stats.lr_fwd)
-           (opt_float_str l.Stats.lr_bwd)))
-    s.Stats.learned;
-  Smap.iter
-    (fun k sel ->
-      Buffer.add_string buf (Printf.sprintf "sel %s %s\n" (float_str sel) k))
-    s.Stats.learned_sel;
-  Buffer.contents buf
+let records (s : Stats.t) =
+  let each m f = List.map (fun (k, v) -> f (Sf.encode k) v) (Smap.bindings m) in
+  each s.Stats.atom_counts (fun k n -> [ "count"; k; string_of_int n ])
+  @ each s.Stats.distinct (fun k n -> [ "distinct"; k; string_of_int n ])
+  @ each s.Stats.link_stats (fun k (ls : Stats.link_stat) ->
+        [ "link"; k; string_of_int ls.Stats.pairs; flt ls.Stats.fanout_fwd;
+          flt ls.Stats.fanout_bwd ])
+  @ each s.Stats.learned (fun k (l : Stats.learned_link) ->
+        [ "learned"; k; opt_flt l.Stats.lf_fwd; opt_flt l.Stats.lf_bwd;
+          opt_flt l.Stats.lr_fwd; opt_flt l.Stats.lr_bwd ])
+  @ each s.Stats.learned_sel (fun k sel -> [ "sel"; k; flt sel ])
 
-let save (s : Stats.t) path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string s))
+let empty =
+  {
+    Stats.atom_counts = Smap.empty;
+    distinct = Smap.empty;
+    link_stats = Smap.empty;
+    learned = Smap.empty;
+    learned_sel = Smap.empty;
+  }
 
-(* --- reading -------------------------------------------------------- *)
-
-let parse_int file lineno s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None -> Err.failf "%s: line %d: bad integer %s" file lineno s
-
-let parse_float file lineno s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> Err.failf "%s: line %d: bad float %s" file lineno s
-
-let parse_opt_float file lineno = function
-  | "-" -> None
-  | s -> Some (parse_float file lineno s)
-
-let of_string ?(file = "stats.mad") text : Stats.t =
-  let empty =
-    {
-      Stats.atom_counts = Smap.empty;
-      distinct = Smap.empty;
-      link_stats = Smap.empty;
-      learned = Smap.empty;
-      learned_sel = Smap.empty;
+(* one record onto the catalog; raises [Failure] when it is malformed *)
+let add (s : Stats.t) record =
+  let int = int_of_string and float = float_of_string in
+  let opt_float = function "-" -> None | x -> Some (float x) in
+  match record with
+  | [ "count"; k; n ] ->
+    { s with
+      Stats.atom_counts = Smap.add (Sf.decode k) (int n) s.Stats.atom_counts }
+  | [ "distinct"; k; n ] ->
+    { s with Stats.distinct = Smap.add (Sf.decode k) (int n) s.Stats.distinct }
+  | [ "link"; k; pairs; ff; fb ] ->
+    let ls =
+      { Stats.pairs = int pairs; fanout_fwd = float ff; fanout_bwd = float fb }
+    in
+    { s with Stats.link_stats = Smap.add (Sf.decode k) ls s.Stats.link_stats }
+  | [ "learned"; k; ff; fb; rf; rb ] ->
+    let l =
+      {
+        Stats.lf_fwd = opt_float ff;
+        lf_bwd = opt_float fb;
+        lr_fwd = opt_float rf;
+        lr_bwd = opt_float rb;
+      }
+    in
+    { s with Stats.learned = Smap.add (Sf.decode k) l s.Stats.learned }
+  | [ "sel"; k; sel ] ->
+    { s with
+      Stats.learned_sel = Smap.add (Sf.decode k) (float sel) s.Stats.learned_sel
     }
-  in
-  let lines = String.split_on_char '\n' text in
-  List.fold_left
-    (fun (s, lineno) line ->
-      let lineno = lineno + 1 in
-      let line = String.trim line in
-      let s =
-        if line = "" || line.[0] = '#' then s
-        else
-          match String.split_on_char ' ' line with
-          | [ "count"; k; n ] ->
-            { s with
-              Stats.atom_counts =
-                Smap.add k (parse_int file lineno n) s.Stats.atom_counts }
-          | [ "distinct"; k; n ] ->
-            { s with
-              Stats.distinct =
-                Smap.add k (parse_int file lineno n) s.Stats.distinct }
-          | [ "link"; k; pairs; ff; fb ] ->
-            { s with
-              Stats.link_stats =
-                Smap.add k
-                  {
-                    Stats.pairs = parse_int file lineno pairs;
-                    fanout_fwd = parse_float file lineno ff;
-                    fanout_bwd = parse_float file lineno fb;
-                  }
-                  s.Stats.link_stats }
-          | [ "learned"; k; ff; fb; rf; rb ] ->
-            { s with
-              Stats.learned =
-                Smap.add k
-                  {
-                    Stats.lf_fwd = parse_opt_float file lineno ff;
-                    lf_bwd = parse_opt_float file lineno fb;
-                    lr_fwd = parse_opt_float file lineno rf;
-                    lr_bwd = parse_opt_float file lineno rb;
-                  }
-                  s.Stats.learned }
-          | "sel" :: sel :: (_ :: _ as key_words) ->
-            { s with
-              Stats.learned_sel =
-                Smap.add
-                  (String.concat " " key_words)
-                  (parse_float file lineno sel)
-                  s.Stats.learned_sel }
-          | word :: _ ->
-            Err.failf "%s: line %d: unknown directive %s" file lineno word
-          | [] -> s
-      in
-      (s, lineno))
-    (empty, 0) lines
-  |> fst
+  | _ -> failwith "unknown record"
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      of_string ~file:(Filename.basename path) (In_channel.input_all ic))
-
-let load_opt path = if Sys.file_exists path then Some (load path) else None
+let of_records records = Sf.fold add empty records

@@ -1,15 +1,13 @@
-(** Persistence of the learned statistics catalog: {!Stats.t} as a
-    line-oriented [stats.mad] file stored beside the write-ahead log,
-    so a session's optimizer starts from the estimates the previous
-    session converged onto. *)
+(** The learned statistics catalog as side-state records: {!Stats.t}
+    as the [stats.mad] file of a durable data directory, so a
+    session's optimizer starts from the estimates the previous session
+    converged onto.  {!Mad_obs.State_file} reads and writes the file. *)
 
-val to_string : Stats.t -> string
+val state_file : Mad_obs.State_file.t
+(** Kind [stats], version 2. *)
 
-val of_string : ?file:string -> string -> Stats.t
-(** Parse; fails with a [file]- and line-named [Err.Mad_error] on
-    malformed input. *)
+val records : Stats.t -> string list list
 
-val save : Stats.t -> string -> unit
-val load : string -> Stats.t
-val load_opt : string -> Stats.t option
-(** [None] when the file does not exist. *)
+val of_records : string list list -> Stats.t * int
+(** The catalog the records describe, and how many were malformed
+    (skipped). *)

@@ -8,6 +8,7 @@ module Obs = Mad_obs.Obs
 module Registry = Mad_obs.Registry
 module Recorder = Mad_obs.Recorder
 module Digest = Mad_obs.Digest
+module State_file = Mad_obs.State_file
 module Json = Mad_obs.Json
 module Session = Mad_mql.Session
 module Fingerprint = Mad_mql.Fingerprint
@@ -318,6 +319,14 @@ let test_slow_log_does_not_replay_dml () =
 (* ------------------------------------------------------------------ *)
 (* Persistence (digest.mad)                                             *)
 
+(* the digest through the digest.mad text codec *)
+let to_string dg = State_file.to_string Digest.state_file (Digest.records dg)
+
+let merge_string dg text =
+  Result.map
+    (fun (records, _torn) -> ignore (Digest.merge_records dg records))
+    (State_file.of_string Digest.state_file text)
+
 let test_persistence_roundtrip () =
   let dg = Digest.create (Registry.create ()) in
   ignore
@@ -331,13 +340,17 @@ let test_persistence_roundtrip () =
   ignore
     (Digest.record dg ~fp:0xdef ~text:"INSERT state(...);" ~plan:0x22
        ~latency_us:40.0 ~rows:1 ~error:false ());
-  let path = Filename.temp_file "t_digest" ".mad" in
+  let dir = Filename.temp_dir "t_digest" "" in
+  let sf = Digest.state_file in
+  let load dg dir = State_file.load sf dir (Digest.merge_records dg) in
   Fun.protect
-    ~finally:(fun () -> Sys.remove path)
+    ~finally:(fun () ->
+      Sys.remove (State_file.path dir sf);
+      Sys.rmdir dir)
     (fun () ->
-      Digest.save dg path;
+      State_file.save sf dir (Digest.records dg);
       let dg2 = Digest.create (Registry.create ()) in
-      check "load merges" true (Digest.load dg2 path);
+      check "load merges" true (load dg2 dir);
       let row fp d =
         List.find (fun r -> r.Digest.r_fp = fp) (Digest.report d)
       in
@@ -353,10 +366,10 @@ let test_persistence_roundtrip () =
         (Float.abs (a.Digest.r_drift -. 12.5) < 1e-9);
       check_str "text round-trips" "SELECT ALL FROM state;" a.Digest.r_text;
       (* merging the same file again adds (counts accumulate) *)
-      check "second merge" true (Digest.load dg2 path);
+      check "second merge" true (load dg2 dir);
       check_int "calls doubled" 4 (row 0xabc dg2).Digest.r_calls;
       check "absent file is a no-op" true
-        (not (Digest.load dg2 (path ^ ".nope"))))
+        (not (load dg2 (dir ^ ".nope"))))
 
 (* a plan change across a restart still counts: the stored current
    plan seeds the switch detector *)
@@ -365,9 +378,9 @@ let test_persistence_switch_across_restart () =
   ignore
     (Digest.record dg ~fp:0xabc ~text:"q" ~plan:0x11 ~latency_us:10.0 ~rows:0
        ~error:false ());
-  let s = Digest.to_string dg in
+  let s = to_string dg in
   let dg2 = Digest.create (Registry.create ()) in
-  (match Digest.merge_string dg2 s with
+  (match merge_string dg2 s with
    | Ok () -> ()
    | Error e -> Alcotest.fail e);
   check_int "no switch after load" 0 (Digest.switch_count dg2);
@@ -381,12 +394,16 @@ let test_persistence_switch_across_restart () =
 let test_merge_rejects_bad_header () =
   let dg = Digest.create (Registry.create ()) in
   check "bad header rejected" true
-    (match Digest.merge_string dg "# not a digest\n" with
+    (match merge_string dg "# not a digest\n" with
+     | Error _ -> true
+     | Ok () -> false);
+  check "a v1 digest is not read" true
+    (match merge_string dg "# MAD statement digest v1\n" with
      | Error _ -> true
      | Ok () -> false);
   check "garbage lines under a good header are skipped" true
     (match
-       Digest.merge_string dg "# MAD statement digest v1\nwat 1 2 3\nrow\n"
+       merge_string dg "# MAD digest v2\nwat 1 2 3\nrow\n"
      with
      | Ok () -> true
      | Error _ -> false)

@@ -401,23 +401,126 @@ let test_reads_are_pure () =
 
 (* --- the learned-catalog file ---------------------------------------- *)
 
+let catalog_of_text text =
+  match Mad_obs.State_file.of_string Prima.Catalog_io.state_file text with
+  | Ok (records, torn) ->
+    let s, skipped = Prima.Catalog_io.of_records records in
+    (s, skipped + torn)
+  | Error e -> Alcotest.fail e
+
 let test_catalog_roundtrip () =
   let db = Harness.seed_db () in
-  let s = Prima.Stats.collect db in
-  let s' = Prima.Catalog_io.of_string (Prima.Catalog_io.to_string s) in
   let module Smap = Prima.Stats.Smap in
+  let s = Prima.Stats.collect db in
+  (* learned entries whose keys carry spaces, quotes and '=' *)
+  let s =
+    {
+      s with
+      Prima.Stats.learned =
+        Smap.add "part-next"
+          { Prima.Stats.lf_fwd = Some 3.9; lf_bwd = None; lr_fwd = Some 0.1;
+            lr_bwd = None }
+          s.Prima.Stats.learned;
+      learned_sel =
+        Smap.add "part|part.name = 'a b'" 0.037 s.Prima.Stats.learned_sel;
+    }
+  in
+  let s', skipped =
+    catalog_of_text
+      (Mad_obs.State_file.to_string Prima.Catalog_io.state_file
+         (Prima.Catalog_io.records s))
+  in
+  check_int "nothing skipped" 0 skipped;
   check "atom counts" true
     (Smap.equal ( = ) s.Prima.Stats.atom_counts s'.Prima.Stats.atom_counts);
   check "distinct" true
     (Smap.equal ( = ) s.Prima.Stats.distinct s'.Prima.Stats.distinct);
   check "link stats" true
     (Smap.equal ( = ) s.Prima.Stats.link_stats s'.Prima.Stats.link_stats);
-  (* malformed input is located *)
-  match Prima.Catalog_io.of_string "count part 3\nfrobnicate" with
-  | _ -> Alcotest.fail "expected catalog parse failure"
-  | exception Err.Mad_error msg ->
-    check "names file and line" true
-      (contains ~affix:"stats.mad: line 2" msg)
+  check "learned factors" true
+    (Smap.equal ( = ) s.Prima.Stats.learned s'.Prima.Stats.learned);
+  check "learned selectivities" true
+    (Smap.equal ( = ) s.Prima.Stats.learned_sel s'.Prima.Stats.learned_sel);
+  (* a malformed record is skipped and counted; the good ones load *)
+  let s'', skipped =
+    catalog_of_text "# MAD stats v2\ncount part 3\nfrobnicate\n"
+  in
+  check_int "the malformed line is counted" 1 skipped;
+  check "the good record loads" true
+    (Smap.find_opt "part" s''.Prima.Stats.atom_counts = Some 3);
+  (* a last line without its newline is torn, even when it parses *)
+  let torn, skipped =
+    catalog_of_text "# MAD stats v2\ncount part 3\ncount state 1"
+  in
+  check_int "the torn line is counted" 1 skipped;
+  check "the torn record is dropped" false
+    (Smap.mem "state" torn.Prima.Stats.atom_counts)
+
+(* Side state is advisory: stats.mad cut off mid-record, a 0-byte
+   digest.mad and a timeline.mad under a wrong header are each loaded
+   in part or reported and ignored, never raised, and an empty catalog
+   never stands in for freshly collected statistics. *)
+let test_torn_side_state () =
+  in_tmp "side_state" @@ fun dir ->
+  let module Sf = Mad_obs.State_file in
+  let module Smap = Prima.Stats.Smap in
+  let brazil () = Workloads.Geo_brazil.db (Workloads.Geo_brazil.build ()) in
+  Prima.Adaptive.install ();
+  let h = Durable.open_or_seed ~seed:brazil dir in
+  Fun.protect ~finally:(fun () -> Durable.close h) @@ fun () ->
+  let analyze = "EXPLAIN ANALYZE SELECT ALL FROM state-area-edge-point;" in
+  let catalog s =
+    match s.Mad_mql.Session.ext with
+    | Some (Prima.Adaptive.Adaptive { Prima.Adaptive.catalog; _ }) -> catalog
+    | _ -> None
+  in
+  let write path text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text)
+  in
+  let s = Mad_mql.Session.create (Durable.db h) in
+  ignore (Mad_mql.Session.run_to_string s analyze);
+  check "catalog saved" true (Prima.Adaptive.save_session s dir);
+  let stats = Sf.path dir Prima.Catalog_io.state_file in
+  let text = In_channel.with_open_bin stats In_channel.input_all in
+  let rec link_at i =
+    if String.sub text i 6 = "\nlink " then i + 1 else link_at (i + 1)
+  in
+  write stats (String.sub text 0 (link_at 0 + String.length "link area-e"));
+  write (Sf.path dir Mad_obs.Digest.state_file) "";
+  write (Sf.path dir Mad_obs.Timeline.state_file)
+    "# MAD timeline v0\nframe 1 2.0 3 0\n";
+  let s2 = Mad_mql.Session.create (Durable.db h) in
+  check "torn catalog loads" true (Prima.Adaptive.load_session s2 dir);
+  (match catalog s2 with
+   | Some c ->
+     let full = Prima.Stats.collect (Durable.db h) in
+     check "records before the cut load" true
+       (Smap.equal ( = ) c.Prima.Stats.atom_counts full.Prima.Stats.atom_counts
+       && Smap.equal ( = ) c.Prima.Stats.distinct full.Prima.Stats.distinct);
+     check "the torn record is dropped" true
+       (Smap.is_empty c.Prima.Stats.link_stats)
+   | None -> Alcotest.fail "torn catalog not installed");
+  let dg = Mad_obs.Digest.create (Mad_obs.Registry.create ()) in
+  check "0-byte digest.mad ignored" false
+    (Sf.load Mad_obs.Digest.state_file dir (Mad_obs.Digest.merge_records dg));
+  let tl = Mad_obs.Timeline.create () in
+  check "wrong-headed timeline.mad ignored" false
+    (Sf.load Mad_obs.Timeline.state_file dir
+       (Mad_obs.Timeline.merge_records tl));
+  check_int "no frames merged" 0 (List.length (Mad_obs.Timeline.frames tl));
+  (* a 0-byte catalog is no catalog: estimates are collected fresh *)
+  write stats "";
+  let s3 = Mad_mql.Session.create (Durable.db h) in
+  check "0-byte catalog not installed" false
+    (Prima.Adaptive.load_session s3 dir);
+  write stats "# MAD stats v2\n";
+  check "header-only catalog not installed" false
+    (Prima.Adaptive.load_session s3 dir);
+  check "session starts without a catalog" true (catalog s3 = None);
+  let out = Mad_mql.Session.run_to_string s3 analyze in
+  check "estimates present" true (contains ~affix:"est=" out);
+  check "estimates collected fresh, not 0" false
+    (contains ~affix:"est=0.0" out)
 
 let suite =
   [
@@ -446,6 +549,8 @@ let suite =
       test_reads_are_pure;
     Alcotest.test_case "queries never journal" `Quick
       test_queries_do_not_journal;
+    Alcotest.test_case "torn side-state never blocks open" `Quick
+      test_torn_side_state;
     Alcotest.test_case "learned catalog round-trip" `Quick
       test_catalog_roundtrip;
   ]

@@ -745,6 +745,56 @@ let test_expose_exemplars_gated_on_ring () =
       check "ring off: no exemplars rendered" true
         (not (contains text "span_seq")))
 
+(* ------------------------------------------------------------------ *)
+(* Side-state files                                                     *)
+
+module State_file = Mad_obs.State_file
+
+(* any strings, as fields of any records, survive an atomic save and a
+   load; a completed save leaves no temporary file behind *)
+let prop_state_file_roundtrip =
+  let field =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl [ ""; "-"; " "; "%"; "\n"; ","; "="; "%2D"; "a b"; "\r\t" ];
+          string;
+          string_printable;
+        ])
+  in
+  let records =
+    QCheck.Gen.(list_size (int_bound 4) (list_size (int_bound 5) field))
+  in
+  QCheck.Test.make ~count:100 ~name:"state file round-trips any strings"
+    (QCheck.make records ~print:QCheck.Print.(list (list string)))
+    (fun records ->
+      let sf = { State_file.kind = "prop"; version = 3 } in
+      let dir = Filename.temp_dir "t_obs_state" "" in
+      let path = State_file.path dir sf in
+      Fun.protect
+        ~finally:(fun () ->
+          (try Sys.remove path with Sys_error _ -> ());
+          Sys.rmdir dir)
+        (fun () ->
+          let encoded =
+            List.map (fun r -> "r" :: List.map State_file.encode r) records
+          in
+          let unsafe c = c = ' ' || c = '\n' || c = ',' || c = '=' in
+          List.iter
+            (List.iter (fun tok ->
+                 if tok = "" || String.exists unsafe tok then
+                   QCheck.Test.fail_reportf "unsafe token %S" tok))
+            encoded;
+          State_file.save sf dir encoded;
+          let back = ref [] in
+          let loaded =
+            State_file.load sf dir (fun rs ->
+                back :=
+                  List.map (fun r -> List.map State_file.decode (List.tl r)) rs;
+                0)
+          in
+          loaded && !back = records && not (Sys.file_exists (path ^ ".tmp"))))
+
 let suite =
   [
     Alcotest.test_case "registry get-or-create" `Quick test_registry_get_or_create;
@@ -789,4 +839,5 @@ let suite =
     Alcotest.test_case "histogram exemplars" `Quick test_exemplars;
     Alcotest.test_case "prometheus escaping" `Quick test_prom_escaping;
     Alcotest.test_case "sampling rate edges" `Quick test_sampling_rate_edges;
+    QCheck_alcotest.to_alcotest prop_state_file_roundtrip;
   ]

@@ -10,6 +10,7 @@ module Metric = Mad_obs.Metric
 module Span = Mad_obs.Span
 module Probe = Mad_obs.Probe
 module Timeline = Mad_obs.Timeline
+module State_file = Mad_obs.State_file
 module Recorder = Mad_obs.Recorder
 module Json = Mad_obs.Json
 
@@ -203,6 +204,15 @@ let test_update_runtime_gauges () =
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                          *)
 
+(* the timeline through the timeline.mad text codec *)
+let to_string tl =
+  State_file.to_string Timeline.state_file (Timeline.records tl)
+
+let merge_string tl text =
+  Result.map
+    (fun (records, _torn) -> ignore (Timeline.merge_records tl records))
+    (State_file.of_string Timeline.state_file text)
+
 let test_timeline_mad_roundtrip () =
   let tl = Timeline.create () in
   let reg = Registry.create () in
@@ -219,13 +229,17 @@ let test_timeline_mad_roundtrip () =
   (* give it a probe with a learned baseline *)
   let p = Probe.create ~probe:"latency" ~label:"abc" () in
   ignore p;
-  let path = Filename.temp_file "t_timeline" ".mad" in
+  let dir = Filename.temp_dir "t_timeline" "" in
+  let sf = Timeline.state_file in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      (try Sys.remove (State_file.path dir sf) with Sys_error _ -> ());
+      Sys.rmdir dir)
     (fun () ->
-      Timeline.save tl path;
+      State_file.save sf dir (Timeline.records tl);
       let tl2 = Timeline.create () in
-      check "load finds the file" true (Timeline.load tl2 path);
+      check "load finds the file" true
+        (State_file.load sf dir (Timeline.merge_records tl2));
       check_int "frames restored" 2 (List.length (Timeline.frames tl2));
       let f1, f2 =
         match Timeline.frames tl2 with
@@ -266,7 +280,7 @@ let test_timeline_mad_probe_state_and_garbage () =
       ]
   in
   let tl = Timeline.create () in
-  (match Timeline.merge_string tl text with
+  (match merge_string tl text with
    | Ok () -> ()
    | Error e -> Alcotest.failf "merge failed: %s" e);
   check_int "one frame" 1 (List.length (Timeline.frames tl));
@@ -289,7 +303,7 @@ let test_timeline_mad_probe_state_and_garbage () =
     (Timeline.health tl = Timeline.Degraded);
   (* bad header is an error, not a crash *)
   check "bad header rejected" true
-    (match Timeline.merge_string (Timeline.create ()) "# nonsense" with
+    (match merge_string (Timeline.create ()) "# nonsense" with
      | Error _ -> true
      | Ok () -> false)
 
@@ -306,7 +320,7 @@ let test_timeline_mad_escaping () =
   Metric.add c 7;
   ignore (Timeline.tick tl reg);
   let tl2 = Timeline.create () in
-  (match Timeline.merge_string tl2 (Timeline.to_string tl) with
+  (match merge_string tl2 (to_string tl) with
    | Ok () -> ()
    | Error e -> Alcotest.failf "merge failed: %s" e);
   let f = List.hd (Timeline.frames tl2) in
@@ -324,7 +338,7 @@ let test_timeline_mad_escaping () =
   check "value preserved" true (pt.Timeline.p_value = 7.0);
   let tl3 = Timeline.create () in
   (match
-     Timeline.merge_string tl3 "# MAD timeline v1\nprobe latency %2D 5.0 1 0\n"
+     merge_string tl3 "# MAD timeline v1\nprobe latency %2D 5.0 1 0\n"
    with
    | Ok () -> ()
    | Error e -> Alcotest.failf "merge failed: %s" e);
@@ -332,7 +346,7 @@ let test_timeline_mad_escaping () =
    | [ p ] -> check "dash label decoded" true (p.Probe.p_label = "-")
    | ps -> Alcotest.failf "expected 1 probe, got %d" (List.length ps));
   let tl4 = Timeline.create () in
-  (match Timeline.merge_string tl4 (Timeline.to_string tl3) with
+  (match merge_string tl4 (to_string tl3) with
    | Ok () -> ()
    | Error e -> Alcotest.failf "merge failed: %s" e);
   match Timeline.probes tl4 with
@@ -358,10 +372,6 @@ let test_exports_parse () =
      | _ -> Alcotest.fail "health_json lacks state"
    end
    | Error e -> Alcotest.failf "health_json does not parse: %s" e);
-  let csv = Timeline.to_csv tl in
-  check "csv header" true
-    (contains csv "frame,unix,ticks,kind,name,labels,value,sum");
-  check "csv row" true (contains csv "c,n,");
   (* the dashboard renders without a crash and mentions health *)
   let dash = Format.asprintf "%a" Timeline.pp_dashboard tl in
   check "dashboard mentions health" true (contains dash "health: ok")
